@@ -255,6 +255,71 @@ def run_circuit_batch(n_qubits: int, gates, params=None, features: np.ndarray | 
     return amps
 
 
+def _z_signs(n_qubits: int, n_measured: int) -> np.ndarray:
+    # (n_measured, 2**n) table: entry [m, i] is +1 if qubit m of basis state i is 0, else -1.
+    bits = np.arange(2**n_qubits) >> (n_qubits - 1 - np.arange(n_measured)[:, None])
+    return 1.0 - 2.0 * (bits & 1)
+
+
+def _imag_pauli_overlap(stacked: np.ndarray, kind: GateKind, target: int) -> np.ndarray:
+    """Per-row Im<lam|P_target|phi> for a (2B, 2**n) stack of phi over lam."""
+    view = stacked.reshape(2, stacked.shape[0] // 2, 2**target, 2, -1)
+    phi0, phi1 = view[0, :, :, 0], view[0, :, :, 1]
+    lam0, lam1 = view[1, :, :, 0].conj(), view[1, :, :, 1].conj()
+    if kind == GateKind.RZ:
+        overlap = (lam0 * phi0 - lam1 * phi1).imag
+    elif kind == GateKind.RX:
+        overlap = (lam0 * phi1 + lam1 * phi0).imag
+    else:  # Y = [[0, -i], [i, 0]]
+        overlap = (lam1 * phi0 - lam0 * phi1).real
+    return overlap.sum(axis=(1, 2))
+
+
+def adjoint_gradient(n_qubits: int, gates, params, features: np.ndarray,
+                     final: np.ndarray, cotangent: np.ndarray,
+                     input_gradient: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Vector-Jacobian product of one circuit's Z expectations by one reverse sweep.
+
+    ``final`` is the (batch, 2**n) output of ``run_circuit_batch`` for these
+    ``params`` and ``features``; ``cotangent`` (batch, n_measured) weights
+    the <Z> of qubits 0..n_measured-1. Returns the gradient of
+    sum_bm cotangent[b, m] * <Z_m>_b w.r.t. each parameter, summed over the
+    batch, and, if ``input_gradient``, w.r.t. each input angle per row as a
+    (batch, n_features) array; a re-uploaded feature sums over its gates.
+
+    Adjoint method (Jones & Gacon, arXiv:2009.02823): phi starts at the
+    final state and lam at O phi with O = sum_m c_bm Z_m. Walking the gates
+    backwards, a rotation exp(-i theta P / 2) contributes
+    d<O>/d theta = Im<lam|P|phi>, then the gate is un-applied on both.
+    Without an input gradient the sweep stops at the earliest trainable gate.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    signs = _z_signs(n_qubits, cotangent.shape[1])
+    stacked = np.concatenate([final, (cotangent @ signs) * final])
+    param_grad = np.zeros(params.shape[0], dtype=np.float64)
+    input_grad = np.zeros(features.shape, dtype=np.float64) if input_gradient else None
+    if input_gradient:
+        stop = 0
+    else:
+        stop = next((i for i, g in enumerate(gates) if g.param_id is not None), len(gates))
+    for i in range(len(gates) - 1, stop - 1, -1):
+        gate = gates[i]
+        if gate.kind == GateKind.CNOT:
+            stacked = apply_cnot_batch(stacked, gate.control, gate.target, n_qubits)
+            continue
+        if gate.param_id is not None:
+            param_grad[gate.param_id] += _imag_pauli_overlap(stacked, gate.kind, gate.target).sum()
+        elif gate.feature_id is not None and input_grad is not None:
+            input_grad[:, gate.feature_id] += _imag_pauli_overlap(stacked, gate.kind, gate.target)
+        if i == stop:
+            break
+        angle = _resolve_angle(gate, params, features)
+        if gate.feature_id is not None:
+            angle = np.concatenate([angle, angle])
+        stacked = apply_rotation_batch(stacked, gate.kind, gate.target, -angle, n_qubits)
+    return param_grad, input_grad
+
+
 def run_circuit(n_qubits: int, gates, params=None, features=None) -> Statevector:
     """Run a gate list on |0...0> for a single feature vector."""
     feats = None

@@ -1,29 +1,37 @@
-"""Analytic gradients via the parameter-shift rule.
+"""Loss gradients for chained circuits: adjoint for training, parameter
+shift as the reference.
 
-Every trainable angle enters the circuits through a Pauli rotation, so the
-derivative of any Pauli-Z expectation with respect to that angle is exactly
-[E(theta + pi/2) - E(theta - pi/2)] / 2.
-
-For a chain of circuits the loss also depends on upstream parameters through
-the intermediate expectations. Those are explicit differentiable nodes:
-per-circuit Jacobians (w.r.t. the circuit's own parameters and, for circuits
-past the first, w.r.t. its input angles) are computed by parameter shift and
+Training differentiates each circuit by the adjoint method (Jones & Gacon,
+arXiv:2009.02823): the forward pass keeps every circuit's final states, and
+one reverse sweep per circuit (``core.adjoint_gradient``) gives the
+vector-Jacobian product of its expectations with respect to its own
+parameters and, past the first circuit, its input angles. Those products are
 composed in reverse with the rescaling derivative and the softmax
-cross-entropy cotangent. Input-angle derivatives shift one encoding gate at
-a time and sum over occurrences, since with reuploading a feature appears in
-several gates.
+cross-entropy cotangent, at the cost of one forward and one reverse pass per
+circuit.
 
-A central finite-difference mode over the full forward pass is provided as a
-cross-check.
+The parameter-shift rule (Mitarai et al., arXiv:1803.00745) stays as the
+reference: every trainable angle enters through a Pauli rotation, so the
+derivative of a Pauli-Z expectation is exactly
+[E(theta + pi/2) - E(theta - pi/2)] / 2. ``expectation_gradient`` and the
+per-circuit ``stage_*_jacobian`` functions compute it; the tests hold the
+adjoint gradient to it. A central finite-difference mode over the full
+forward pass is a further cross-check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GateOp, run_circuit_batch, run_circuit_blocks, expectations_z_batch
+from .core import (
+    GateOp,
+    adjoint_gradient,
+    expectations_z_batch,
+    run_circuit_batch,
+    run_circuit_blocks,
+)
 from .errors import NumericalError
-from .model import MultiVqcModel, nll_from_scores, rescale_derivative
+from .model import MultiVqcModel, nll_from_scores, rescale_derivative, softmax
 from .params import ParamStore
 
 SHIFT = np.pi / 2.0
@@ -149,30 +157,28 @@ def batch_loss_gradient(
     labels: np.ndarray,
     label_weights: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Mean batch loss and its gradient w.r.t. the full flat parameter vector."""
+    """Mean batch loss and its gradient w.r.t. the full flat parameter vector,
+    by one forward and one adjoint sweep per circuit."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    trace = model.forward_batch(store, features)
-    for k, exp in enumerate(trace.stage_expectations):
+    passes = list(model.iter_stages(store, features))
+    for k, (_, _, exp) in enumerate(passes):
         if not np.all(np.isfinite(exp)):
             raise NumericalError(f"non-finite expectation values from circuit {k}")
-    losses = nll_from_scores(trace.scores, labels, label_weights)
-    loss = float(losses.mean())
+    scores = passes[-1][2]
+    loss = float(nll_from_scores(scores, labels, label_weights).mean())
 
     batch = features.shape[0]
-    cotangent = score_cotangent(trace.probabilities, labels, label_weights) / batch
+    cotangent = score_cotangent(softmax(scores), labels, label_weights) / batch
     grad = np.zeros(store.total, dtype=np.float64)
     for k in range(model.config.n_vqcs - 1, -1, -1):
-        inputs = trace.stage_inputs[k]
-        stage_params = store.slice_for(k)
-        jac_p = stage_parameter_jacobian(model, k, inputs, stage_params)
+        inputs, states, _ = passes.pop()  # each circuit's states go once swept
         start = store.offsets[k]
-        grad[start:start + store.counts[k]] = np.einsum("bm,bmp->p", cotangent, jac_p)
+        grad[start:start + store.counts[k]], input_cot = adjoint_gradient(
+            model.stages[k].n_qubits, model.stage_gates[k], store.slice_for(k),
+            inputs, states, cotangent, input_gradient=k > 0)
         if k > 0:
-            jac_in = stage_input_jacobian(model, k, inputs, stage_params)
-            input_cot = np.einsum("bm,bmn->bn", cotangent, jac_in)
-            cotangent = input_cot * rescale_derivative(
-                trace.stage_expectations[k - 1], model.config.rescale)
+            cotangent = input_cot * rescale_derivative(passes[-1][2], model.config.rescale)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite loss gradient")
     return loss, grad

@@ -194,23 +194,28 @@ class MultiVqcModel:
         return ParamStore.random_init(self.param_counts, rng)
 
     def stage_expectations_batch(
-        self,
-        stage: int,
-        inputs: np.ndarray,
-        stage_params: np.ndarray,
-        shift: tuple[int, float] | None = None,
+        self, stage: int, inputs: np.ndarray, stage_params: np.ndarray
     ) -> np.ndarray:
         """Run circuit ``stage`` on a (batch, n_features) block of angles and
-        return its (batch, n_measured) Pauli-Z expectations. ``shift`` adds a
-        delta to the resolved angle of one gate (by index in the gate list)."""
+        return its (batch, n_measured) Pauli-Z expectations."""
+        return self._run_stage(stage, inputs, stage_params)[1]
+
+    def _run_stage(
+        self, stage: int, inputs: np.ndarray, stage_params: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.stages[stage]
         amps = run_circuit_batch(
-            cfg.n_qubits, self.stage_gates[stage],
-            params=stage_params, features=inputs, shift=shift,
+            cfg.n_qubits, self.stage_gates[stage], params=stage_params, features=inputs,
         )
-        return expectations_z_batch(amps, range(cfg.n_measured), cfg.n_qubits)
+        return amps, expectations_z_batch(amps, range(cfg.n_measured), cfg.n_qubits)
 
-    def forward_batch(self, store: ParamStore, features: np.ndarray) -> ForwardTrace:
+    def iter_stages(self, store: ParamStore, features: np.ndarray):
+        """Run the chain one circuit at a time, yielding (inputs, final
+        states, expectations) per circuit in chain order.
+
+        The one forward loop shared by ``forward_batch`` and the training
+        gradient: a caller that does not keep the yielded states lets each
+        one go as soon as its expectations are read."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.n_features:
             raise ConfigError(
@@ -222,13 +227,21 @@ class MultiVqcModel:
                 f"parameter store shape {store.counts} does not match model "
                 f"{self.param_counts}"
             )
-        inputs: list[np.ndarray] = [features]
-        expectations: list[np.ndarray] = []
+        inputs = features
         for k in range(self.config.n_vqcs):
-            exp = self.stage_expectations_batch(k, inputs[-1], store.slice_for(k))
-            expectations.append(exp)
+            amps, exp = self._run_stage(k, inputs, store.slice_for(k))
+            yield inputs, amps, exp
+            del amps
             if k < self.config.n_vqcs - 1:
-                inputs.append(rescale_expectations(exp, self.config.rescale))
+                inputs = rescale_expectations(exp, self.config.rescale)
+
+    def forward_batch(self, store: ParamStore, features: np.ndarray) -> ForwardTrace:
+        inputs: list[np.ndarray] = []
+        expectations: list[np.ndarray] = []
+        for stage_inputs, state, exp in self.iter_stages(store, features):
+            del state  # forward only: no state outlives its expectations
+            inputs.append(stage_inputs)
+            expectations.append(exp)
         scores = expectations[-1]
         return ForwardTrace(
             stage_inputs=tuple(inputs),

@@ -1,14 +1,22 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here evaluates circuits by building dense 2^n x 2^n matrices with
-Kronecker products and multiplying them out, deliberately avoiding the
-package's sliced-axis kernels. Gate lists and configs may come from the
-package (they are data); the evaluation path may not.
+Everything here except ``shift_rule_loss_gradient`` evaluates circuits by
+building dense 2^n x 2^n matrices with Kronecker products and multiplying them
+out, deliberately avoiding the package's sliced-axis kernels. Gate lists and
+configs may come from the package (they are data); the evaluation path may not.
+
+``shift_rule_loss_gradient`` is the reference for the training gradient: it
+differentiates by a different method (parameter shift, 2 runs per parameter
+and per encoding-gate occurrence) on the package's kernels, so it checks the
+adjoint sweep and its chain-rule composition rather than the simulator.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from multivqc.gradients import score_cotangent, stage_input_jacobian, stage_parameter_jacobian
+from multivqc.model import rescale_derivative
 
 I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -142,3 +150,25 @@ def eigh_pca(features: np.ndarray, n_components: int):
     components = eigvecs[:, order].T
     ratios = eigvals / np.sum(eigvals)
     return mean, components[:n_components], ratios[:n_components]
+
+
+def shift_rule_loss_gradient(model, store, features, labels, label_weights) -> np.ndarray:
+    """Mean batch loss gradient from per-circuit parameter-shift Jacobians,
+    composed in reverse with the rescaling derivative and the score
+    cotangent."""
+    features = np.asarray(features, dtype=np.float64)
+    trace = model.forward_batch(store, features)
+    cotangent = score_cotangent(trace.probabilities, labels, label_weights) / features.shape[0]
+    grad = np.zeros(store.total, dtype=np.float64)
+    for k in range(model.config.n_vqcs - 1, -1, -1):
+        inputs = trace.stage_inputs[k]
+        stage_params = store.slice_for(k)
+        jac_p = stage_parameter_jacobian(model, k, inputs, stage_params)
+        start = store.offsets[k]
+        grad[start:start + store.counts[k]] = np.einsum("bm,bmp->p", cotangent, jac_p)
+        if k > 0:
+            jac_in = stage_input_jacobian(model, k, inputs, stage_params)
+            input_cot = np.einsum("bm,bmn->bn", cotangent, jac_in)
+            cotangent = input_cot * rescale_derivative(
+                trace.stage_expectations[k - 1], model.config.rescale)
+    return grad

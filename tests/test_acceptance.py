@@ -94,7 +94,7 @@ def test_criterion_2_parameter_shift_matches_finite_differences():
     report(2, worst < 1e-6 and elapsed < 60.0,
            f"100 random configurations ({chain_counts[1]} single, "
            f"{chain_counts[2]} two-circuit, {chain_counts[3]} three-circuit): "
-           f"worst |shift - finite difference| {worst:.2e} (tolerance 1e-6), "
+           f"worst |adjoint - finite difference| {worst:.2e} (tolerance 1e-6), "
            f"{elapsed:.1f}s (budget 60s)")
 
 

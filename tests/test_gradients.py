@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from multivqc import core, gradients, model as model_module
 from multivqc.core import GateKind, rotation
 from multivqc.errors import NumericalError
 from multivqc.gradients import (
@@ -226,3 +229,68 @@ class TestStageJacobians:
             expected = 0.5 * (model.stage_expectations_batch(0, X, up)
                               - model.stage_expectations_batch(0, X, down))
             assert np.allclose(jac[:, :, p], expected, atol=1e-13)
+
+
+class TestAdjointGradient:
+    def test_matches_shift_rule_reference_across_shapes(self):
+        # Every encoding x ansatz x reuploading x rescale x chain length,
+        # with random feature, class, layer and batch counts per case.
+        rng = np.random.default_rng(2009)
+        worst = 0.0
+        cases = list(itertools.product(("RX", "RY"), ("basic", "strongly"), (True, False),
+                                       ("pi", "arccos", "identity"), (1, 2, 3)))
+        for encoding, ansatz, reuploading, rescale, n_vqcs in cases:
+            n_features = int(rng.integers(2, 7))
+            n_classes = int(rng.integers(2, n_features + 1))
+            cfg = MultiVqcConfig(
+                n_features=n_features, n_classes=n_classes, n_vqcs=n_vqcs,
+                encoding=encoding, ansatz=ansatz, n_layers=int(rng.integers(1, 3)),
+                reuploading=reuploading, rescale=rescale,
+            )
+            model = MultiVqcModel(cfg)
+            store = model.new_store(rng)
+            X = rng.uniform(0.0, np.pi, size=(int(rng.integers(1, 17)), n_features))
+            y = rng.integers(0, n_classes, size=X.shape[0])
+            weights = rng.uniform(0.2, 1.8, size=n_classes)
+            _, grad = batch_loss_gradient(model, store, X, y, weights)
+            reference = oracles.shift_rule_loss_gradient(model, store, X, y, weights)
+            worst = max(worst, float(np.max(np.abs(grad - reference))))
+        assert len(cases) == 72
+        assert worst < 1e-12
+
+    def test_matches_shift_rule_reference_at_eight_qubits(self):
+        rng = np.random.default_rng(2010)
+        cfg = MultiVqcConfig(n_features=8, n_classes=3, n_vqcs=3, ansatz="strongly",
+                             n_layers=2, rescale="arccos")
+        model = MultiVqcModel(cfg)
+        store = model.new_store(rng)
+        X = rng.uniform(0.0, np.pi, size=(4, 8))
+        y = rng.integers(0, 3, size=4)
+        weights = rng.uniform(0.2, 1.8, size=3)
+        _, grad = batch_loss_gradient(model, store, X, y, weights)
+        reference = oracles.shift_rule_loss_gradient(model, store, X, y, weights)
+        assert store.total == 144
+        assert np.max(np.abs(grad - reference)) < 1e-12
+
+    def test_one_circuit_run_per_stage_and_no_shifted_runs(self, monkeypatch):
+        # Guards the work shape: the gradient reuses the forward states and
+        # never falls back to O(parameters) shifted circuit runs.
+        rows = {"model": [], "gradients": [], "blocks": []}
+        runners = {"model": core.run_circuit_batch, "gradients": core.run_circuit_batch,
+                   "blocks": core.run_circuit_blocks}
+
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                out = runners[name](*args, **kwargs)
+                rows[name].append(out.shape[0])
+                return out
+            return wrapper
+
+        monkeypatch.setattr(model_module, "run_circuit_batch", counting("model"))
+        monkeypatch.setattr(gradients, "run_circuit_batch", counting("gradients"))
+        monkeypatch.setattr(gradients, "run_circuit_blocks", counting("blocks"))
+        monkeypatch.setattr(core, "run_circuit_blocks", counting("blocks"))
+        rng = np.random.default_rng(2011)
+        model, store, X, y, weights = random_chain(rng, n_vqcs=3)
+        batch_loss_gradient(model, store, X, y, weights)
+        assert rows == {"model": [X.shape[0]] * 3, "gradients": [], "blocks": []}
