@@ -6,13 +6,8 @@ from .core import (
     GateKind,
     GateOp,
     MAX_QUBITS,
-    Statevector,
-    apply_gate,
     cnot,
-    expectation_z,
-    new_zero_state,
     rotation,
-    run_circuit,
     run_circuit_batch,
     run_circuit_blocks,
 )
@@ -28,8 +23,6 @@ from .gradients import (
     batch_loss,
     batch_loss_gradient,
     expectation_gradient,
-    finite_difference_loss_gradient,
-    loss_gradient,
 )
 from .metrics import ConfusionCounts, Metrics, compute_metrics, confusion, evaluate
 from .model import (
@@ -40,7 +33,6 @@ from .model import (
     load_model,
     save_model,
     softmax,
-    validate_stages,
 )
 from .params import ParamStore
 from .pipeline import (
@@ -65,7 +57,6 @@ from .training import (
     compute_class_weights,
     select_layers,
     train,
-    weighted_loss,
 )
 
 __version__ = "0.1.0"

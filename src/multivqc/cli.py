@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     PipelineStateError,
 )
-from .metrics import evaluate
+from .metrics import Metrics, evaluate
 from .model import (
     MultiVqcConfig,
     MultiVqcModel,
@@ -45,6 +45,7 @@ from .pipeline import (
     explained_variance_table,
     load_csv,
     load_schema,
+    read_json,
     split,
 )
 from .training import (
@@ -157,14 +158,7 @@ def parse_overrides(tokens: list[str]) -> dict:
 def load_run_config(config_path: str | None, override_tokens: list[str]) -> dict:
     config = DEFAULT_CONFIG
     if config_path is not None:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                file_config = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config file {config_path} is not valid JSON: {exc}") from exc
+        file_config = read_json(config_path, "config file")
         if not isinstance(file_config, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         config = _deep_merge(config, file_config)
@@ -182,7 +176,10 @@ def _output_dir(config: dict) -> Path:
 def _angle_range(config: dict) -> tuple[float, float]:
     name = config["angle_range"]
     if isinstance(name, (list, tuple)) and len(name) == 2:
-        return float(name[0]), float(name[1])
+        try:
+            return float(name[0]), float(name[1])
+        except (TypeError, ValueError):
+            raise ConfigError(f"angle_range bounds must be numbers, got {name}") from None
     if name not in ANGLE_RANGES:
         raise ConfigError(
             f"angle_range must be one of {sorted(ANGLE_RANGES)} or a [low, high] pair"
@@ -216,19 +213,31 @@ def _announce_source(dataset: Dataset, source: str, path: str) -> None:
         print(f"source: {path}")
 
 
-def _encode_splits(raw: SplitDataset, n_components: int,
-                   angle_range: tuple[float, float]) -> tuple[SplitDataset, Pipeline]:
-    pipe = Pipeline(n_components, angle_range).fit(raw.train.features)
-    names = tuple(f"pc{i + 1}" for i in range(n_components))
+def _load_split(config: dict) -> tuple[SplitDataset, str, str]:
+    """Load and announce the configured dataset, then split it. Returns
+    (raw split, source description, resolved path)."""
+    dataset, source, path = _load_raw_dataset(config)
+    _announce_source(dataset, source, path)
+    raw = split(dataset, tuple(config["split"]["fractions"]), config["split"]["seed"])
+    return raw, source, path
+
+
+def _encode_with(pipe: Pipeline, raw: SplitDataset) -> SplitDataset:
+    names = tuple(f"pc{i + 1}" for i in range(pipe.n_components))
 
     def encode(part: Dataset) -> Dataset:
         return Dataset(part.name, pipe.transform(part.features), part.labels, names)
 
-    encoded = SplitDataset(
+    return SplitDataset(
         train=encode(raw.train), validation=encode(raw.validation),
         test=encode(raw.test), fractions=raw.fractions, seed=raw.seed,
     )
-    return encoded, pipe
+
+
+def _encode_splits(raw: SplitDataset, n_components: int,
+                   angle_range: tuple[float, float]) -> tuple[SplitDataset, Pipeline]:
+    pipe = Pipeline(n_components, angle_range).fit(raw.train.features)
+    return _encode_with(pipe, raw), pipe
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -249,20 +258,21 @@ METRICS_CSV_COLUMNS = ("dataset", "n_components", "split_seed", "train_seed",
                        "split", "precision", "recall", "f1")
 
 
-def _metrics_records(config: dict, model: MultiVqcModel, store, data: SplitDataset,
-                     dataset_name: str) -> list[dict]:
-    records = []
-    for split_name, part in (("train", data.train), ("validation", data.validation),
-                             ("test", data.test)):
-        predictions = model.predict_batch(store, part.features)
-        m = evaluate(predictions, part.labels)
-        records.append({
-            "dataset": dataset_name, "n_components": config["n_components"],
-            "split_seed": config["split"]["seed"],
-            "train_seed": config["train"]["seed"], "split": split_name,
-            "precision": m.precision, "recall": m.recall, "f1": m.f1,
-        })
-    return records
+def _model_split_metrics(model: MultiVqcModel, store, data: SplitDataset) -> list[Metrics]:
+    """Train, validation and test metrics of a trained model."""
+    return [evaluate(model.predict_batch(store, part.features), part.labels)
+            for part in (data.train, data.validation, data.test)]
+
+
+def _metrics_records(config: dict, dataset_name: str,
+                     split_metrics) -> list[dict]:
+    """Rows of a metrics CSV, from train, validation and test metrics."""
+    return [{
+        "dataset": dataset_name, "n_components": config["n_components"],
+        "split_seed": config["split"]["seed"],
+        "train_seed": config["train"]["seed"], "split": split_name,
+        "precision": m.precision, "recall": m.recall, "f1": m.f1,
+    } for split_name, m in zip(("train", "validation", "test"), split_metrics)]
 
 
 def _resolved_config_payload(config: dict, source: str, path: str) -> dict:
@@ -293,10 +303,7 @@ def cmd_pca_report(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
-    dataset, source, path = _load_raw_dataset(config)
-    _announce_source(dataset, source, path)
-    raw_split = split(dataset, tuple(config["split"]["fractions"]),
-                      config["split"]["seed"])
+    raw_split, source, path = _load_split(config)
     encoded, pipe = _encode_splits(raw_split, config["n_components"],
                                    _angle_range(config))
     weights = compute_class_weights(encoded.train.labels)
@@ -318,17 +325,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(out / "pipeline.json", pipe.to_json_dict())
     _write_json(out / "train_report.json",
                 train_report_to_json_dict(report, model_cfg, tcfg, weights))
-    model = MultiVqcModel(model_cfg)
+    split_metrics = _model_split_metrics(MultiVqcModel(model_cfg),
+                                         report.final_params, encoded)
     _write_csv(out / "metrics.csv", METRICS_CSV_COLUMNS,
-               _metrics_records(config, model, report.final_params, encoded,
-                                dataset.name))
+               _metrics_records(config, raw_split.train.name, split_metrics))
     best = report.epochs[report.best_epoch]
     print(f"trained {model_cfg.n_vqcs} circuit(s) x {model_cfg.n_layers} layer(s): "
           f"best epoch {report.best_epoch}, val loss {best.val_loss:.6f}, "
           f"val F1 {best.val_metrics.f1:.4f}"
           f"{' (stopped early)' if report.stopped_early else ''}")
-    predictions = model.predict_batch(report.final_params, encoded.test.features)
-    test_metrics = evaluate(predictions, encoded.test.labels)
+    test_metrics = split_metrics[2]
     print(f"test: precision {test_metrics.precision:.4f}, "
           f"recall {test_metrics.recall:.4f}, f1 {test_metrics.f1:.4f}")
     print(f"artifacts in {out}")
@@ -338,29 +344,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     config_path = run_dir / "resolved_config.json"
-    if not config_path.is_file():
-        raise ConfigError(f"{config_path} not found; run `train` first")
-    with open(config_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(config_path, "run config")
+    if not isinstance(payload, dict) or not isinstance(payload.get("config"), dict):
+        raise ConfigError(f"run config {config_path} has no 'config' object")
     config = payload["config"]
-    dataset, source, path = _load_raw_dataset(config)
-    _announce_source(dataset, source, path)
-    raw_split = split(dataset, tuple(config["split"]["fractions"]),
-                      config["split"]["seed"])
-    with open(run_dir / "pipeline.json", encoding="utf-8") as fh:
-        pipe = Pipeline.from_json_dict(json.load(fh))
+    raw_split, _, _ = _load_split(config)
+    pipe = Pipeline.from_json_dict(read_json(run_dir / "pipeline.json", "pipeline file"))
     model, store = load_model(str(run_dir / "model.json"))
-    names = tuple(f"pc{i + 1}" for i in range(config["n_components"]))
-
-    def encode(part: Dataset) -> Dataset:
-        return Dataset(part.name, pipe.transform(part.features), part.labels, names)
-
-    encoded = SplitDataset(
-        train=encode(raw_split.train), validation=encode(raw_split.validation),
-        test=encode(raw_split.test), fractions=raw_split.fractions,
-        seed=raw_split.seed,
-    )
-    records = _metrics_records(config, model, store, encoded, dataset.name)
+    records = _metrics_records(config, raw_split.train.name,
+                               _model_split_metrics(model, store, _encode_with(pipe, raw_split)))
     _write_csv(run_dir / "eval_metrics.csv", METRICS_CSV_COLUMNS, records)
     for record in records:
         print(f"{record['split']}: precision {record['precision']:.4f}, "
@@ -389,10 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers is not None:
         config = _deep_merge(config, {"sweep": {"workers": args.workers}})
     sweep_cfg = config["sweep"]
-    dataset, source, path = _load_raw_dataset(config)
-    _announce_source(dataset, source, path)
-    raw_split = split(dataset, tuple(config["split"]["fractions"]),
-                      config["split"]["seed"])
+    raw_split, _, _ = _load_split(config)
     feature_counts = tuple(int(k) for k in sweep_cfg["feature_counts"])
     angle_range = _angle_range(config)
     datasets_by_width = {}
@@ -413,8 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             marker = cells_dir / f"cell_{cell.index:04d}.json"
             if not marker.is_file():
                 continue
-            with open(marker, encoding="utf-8") as fh:
-                payload = json.load(fh)
+            payload = read_json(marker, "sweep cell marker")
             expected = ("multivqc", cell.features, cell.n_vqcs,
                         cell.encoding.value, cell.ansatz.value, cell.reuploading)
             if (payload.get("base_seed") != tcfg.seed
@@ -440,8 +428,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             index = len(grid) + offset
             marker = cells_dir / f"cell_{index:04d}.json"
             if args.resume and marker.is_file():
-                with open(marker, encoding="utf-8") as fh:
-                    rows.append(sweep_row_from_json(json.load(fh)["row"]))
+                rows.append(sweep_row_from_json(read_json(marker, "sweep cell marker")["row"]))
                 continue
             data = datasets_by_width[k]
             logreg = fit_logreg(data, tcfg=tcfg)
@@ -501,26 +488,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
-    dataset, source, path = _load_raw_dataset(config)
-    _announce_source(dataset, source, path)
-    raw_split = split(dataset, tuple(config["split"]["fractions"]),
-                      config["split"]["seed"])
+    raw_split, source, _ = _load_split(config)
     encoded, _ = _encode_splits(raw_split, config["n_components"],
                                 _angle_range(config))
     tcfg = TrainConfig(**config["train"])
     report = fit_logreg(encoded, tcfg=tcfg)
     out = _output_dir(config)
-    m_train, m_val, m_test = logreg_split_metrics(report.model, encoded)
-    records = []
-    for split_name, m in (("train", m_train), ("validation", m_val),
-                          ("test", m_test)):
-        records.append({
-            "dataset": dataset.name, "n_components": config["n_components"],
-            "split_seed": config["split"]["seed"],
-            "train_seed": config["train"]["seed"], "split": split_name,
-            "precision": m.precision, "recall": m.recall, "f1": m.f1,
-        })
-    _write_csv(out / "baseline_metrics.csv", METRICS_CSV_COLUMNS, records)
+    split_metrics = logreg_split_metrics(report.model, encoded)
+    m_test = split_metrics[2]
+    _write_csv(out / "baseline_metrics.csv", METRICS_CSV_COLUMNS,
+               _metrics_records(config, raw_split.train.name, split_metrics))
     _write_json(out / "baseline_report.json", {
         "format": "multivqc-baseline-report/1",
         "config": config, "data_source": source,

@@ -9,8 +9,7 @@ Conventions, fixed package-wide and relied on by every test:
   canonical check is <Z> = cos(theta) after RY(theta) on |0>.
 
 All kernels operate on arrays of shape (batch, 2**n_qubits) so a circuit
-can be evaluated for a whole batch of feature vectors in one pass; the
-single-state operations below are thin wrappers around them.
+can be evaluated for a whole batch of feature vectors in one pass.
 """
 
 from __future__ import annotations
@@ -81,26 +80,6 @@ def rotation(kind: GateKind, target: int, *, angle: float | None = None,
 
 def cnot(control: int, target: int) -> GateOp:
     return GateOp(kind=GateKind.CNOT, target=target, control=control)
-
-
-@dataclass(frozen=True)
-class Statevector:
-    """Complex amplitude vector over ``n_qubits`` (qubit-0-major indexing)."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-def new_zero_state(n_qubits: int) -> Statevector:
-    """|0...0> on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(n_qubits=n_qubits, amplitudes=amps)
 
 
 def _check_qubit(qubit: int, n_qubits: int) -> None:
@@ -180,32 +159,6 @@ def _resolve_angle(gate: GateOp, params: np.ndarray | None, features: np.ndarray
     return features[:, gate.feature_id]
 
 
-def apply_gate(state: Statevector, gate: GateOp, resolved_angle: float | None = None) -> Statevector:
-    """Apply one gate to a single state.
-
-    ``resolved_angle`` supplies the angle for parameter- or feature-bound
-    rotations (and overrides a fixed one); it is ignored for CNOT.
-    """
-    n = state.n_qubits
-    _check_qubit(gate.target, n)
-    amps = state.amplitudes.reshape(1, -1)
-    if gate.kind == GateKind.CNOT:
-        _check_qubit(gate.control, n)
-        out = apply_cnot_batch(amps, gate.control, gate.target, n)
-    else:
-        angle = resolved_angle if resolved_angle is not None else gate.angle
-        if angle is None:
-            raise ModelDefinitionError("rotation gate needs a resolved angle")
-        out = apply_rotation_batch(amps, gate.kind, gate.target, float(angle), n)
-    return Statevector(n_qubits=n, amplitudes=out[0])
-
-
-def expectation_z(state: Statevector, qubit: int) -> float:
-    """<Z> on one qubit: P(bit=0) - P(bit=1), in [-1, 1]."""
-    _check_qubit(qubit, state.n_qubits)
-    return float(expectations_z_batch(state.amplitudes.reshape(1, -1), [qubit], state.n_qubits)[0, 0])
-
-
 def expectations_z_batch(amps: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
     """Per-qubit <Z> for a (batch, 2**n) array; returns (batch, len(qubits))."""
     batch = amps.shape[0]
@@ -219,15 +172,14 @@ def expectations_z_batch(amps: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
     return out
 
 
-def run_circuit_batch(n_qubits: int, gates, params=None, features: np.ndarray | None = None,
-                      shift: tuple[int, float] | None = None) -> np.ndarray:
+def run_circuit_batch(n_qubits: int, gates, params=None,
+                      features: np.ndarray | None = None) -> np.ndarray:
     """Run a gate list on |0...0> for a batch of feature rows.
 
     ``params`` is this circuit's flat parameter vector (anything array-like,
     including a ParamStore via its ``values``). ``features`` has shape
     (batch, n_features); with no feature-bound gates it may be None, in which
-    case the batch size is 1. ``shift`` adds a delta to the resolved angle of
-    the single gate at that index (used by per-occurrence shift rules).
+    case the batch size is 1.
     """
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
@@ -242,16 +194,14 @@ def run_circuit_batch(n_qubits: int, gates, params=None, features: np.ndarray | 
         batch = 1
     amps = np.zeros((batch, 2**n_qubits), dtype=np.complex128)
     amps[:, 0] = 1.0
-    for i, gate in enumerate(gates):
+    for gate in gates:
         _check_qubit(gate.target, n_qubits)
         if gate.kind == GateKind.CNOT:
             _check_qubit(gate.control, n_qubits)
             amps = apply_cnot_batch(amps, gate.control, gate.target, n_qubits)
             continue
-        angle = _resolve_angle(gate, params, features)
-        if shift is not None and shift[0] == i:
-            angle = angle + shift[1]
-        amps = apply_rotation_batch(amps, gate.kind, gate.target, angle, n_qubits)
+        amps = apply_rotation_batch(amps, gate.kind, gate.target,
+                                    _resolve_angle(gate, params, features), n_qubits)
     return amps
 
 
@@ -318,15 +268,6 @@ def adjoint_gradient(n_qubits: int, gates, params, features: np.ndarray,
             angle = np.concatenate([angle, angle])
         stacked = apply_rotation_batch(stacked, gate.kind, gate.target, -angle, n_qubits)
     return param_grad, input_grad
-
-
-def run_circuit(n_qubits: int, gates, params=None, features=None) -> Statevector:
-    """Run a gate list on |0...0> for a single feature vector."""
-    feats = None
-    if features is not None:
-        feats = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    amps = run_circuit_batch(n_qubits, gates, params=params, features=feats)
-    return Statevector(n_qubits=n_qubits, amplitudes=amps[0])
 
 
 def run_circuit_blocks(n_qubits: int, gates, params=None,

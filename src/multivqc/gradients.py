@@ -15,8 +15,7 @@ reference: every trainable angle enters through a Pauli rotation, so the
 derivative of a Pauli-Z expectation is exactly
 [E(theta + pi/2) - E(theta - pi/2)] / 2. ``expectation_gradient`` and the
 per-circuit ``stage_*_jacobian`` functions compute it; the tests hold the
-adjoint gradient to it. A central finite-difference mode over the full
-forward pass is a further cross-check.
+adjoint gradient to it, and to central finite differences of ``batch_loss``.
 """
 
 from __future__ import annotations
@@ -182,39 +181,3 @@ def batch_loss_gradient(
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite loss gradient")
     return loss, grad
-
-
-def loss_gradient(
-    model: MultiVqcModel,
-    store: ParamStore,
-    features: np.ndarray,
-    label: int,
-    label_weights: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Single-sample weighted loss and gradient over all parameters."""
-    return batch_loss_gradient(
-        model, store,
-        np.asarray(features, dtype=np.float64)[None, :],
-        np.asarray([label], dtype=np.int64),
-        label_weights,
-    )
-
-
-def finite_difference_loss_gradient(
-    model: MultiVqcModel,
-    store: ParamStore,
-    features: np.ndarray,
-    labels: np.ndarray,
-    label_weights: np.ndarray,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient of the batch loss; slow, for cross-checks."""
-    grad = np.zeros(store.total, dtype=np.float64)
-    for i in range(store.total):
-        up = store.replaced(i, store.values[i] + h)
-        down = store.replaced(i, store.values[i] - h)
-        grad[i] = (
-            batch_loss(model, up, features, labels, label_weights)
-            - batch_loss(model, down, features, labels, label_weights)
-        ) / (2.0 * h)
-    return grad

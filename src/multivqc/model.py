@@ -23,6 +23,7 @@ import numpy as np
 from .core import GateOp, MAX_QUBITS, run_circuit_batch, expectations_z_batch
 from .errors import ConfigError
 from .params import ParamStore
+from .pipeline import read_json
 from .templates import Ansatz, Encoding, VqcConfig, build_vqc
 
 PROB_FLOOR = 1e-12
@@ -132,37 +133,6 @@ class MultiVqcConfig:
         return tuple(stages)
 
 
-def validate_stages(stages, n_classes: int) -> list[str]:
-    """Check the chain-shape rules over explicit per-circuit configs.
-
-    Returns every violation found (empty list = valid) rather than raising
-    on the first one; each message names the offending circuit index.
-    stage_configs() satisfies these by construction, so this is the check
-    for externally assembled or deserialized stage sequences.
-    """
-    stages = list(stages)
-    problems: list[str] = []
-    for k, cfg in enumerate(stages[:-1]):
-        if cfg.n_measured != cfg.n_qubits:
-            problems.append(
-                f"circuit {k}: intermediate circuits must measure every qubit "
-                f"(n_measured {cfg.n_measured} != n_qubits {cfg.n_qubits})"
-            )
-    if stages and stages[-1].n_measured != n_classes:
-        problems.append(
-            f"circuit {len(stages) - 1}: final circuit must measure one qubit "
-            f"per class (n_measured {stages[-1].n_measured} != n_classes "
-            f"{n_classes})"
-        )
-    for k in range(1, len(stages)):
-        if stages[k].n_qubits != stages[k - 1].n_measured:
-            problems.append(
-                f"circuit {k}: input width {stages[k].n_qubits} does not match "
-                f"circuit {k - 1} output width {stages[k - 1].n_measured}"
-            )
-    return problems
-
-
 @dataclass(frozen=True)
 class ForwardTrace:
     """Everything the forward pass computed, kept for backpropagation.
@@ -181,9 +151,6 @@ class MultiVqcModel:
     def __init__(self, config: MultiVqcConfig):
         self.config = config
         self.stages = config.stage_configs()
-        problems = validate_stages(self.stages, config.n_classes)
-        if problems:
-            raise ConfigError("; ".join(problems))
         built = [build_vqc(s) for s in self.stages]
         self.stage_gates: tuple[tuple[GateOp, ...], ...] = tuple(g for g, _ in built)
         self.param_counts: tuple[int, ...] = tuple(c for _, c in built)
@@ -192,13 +159,6 @@ class MultiVqcModel:
         if rng is None:
             return ParamStore(self.param_counts)
         return ParamStore.random_init(self.param_counts, rng)
-
-    def stage_expectations_batch(
-        self, stage: int, inputs: np.ndarray, stage_params: np.ndarray
-    ) -> np.ndarray:
-        """Run circuit ``stage`` on a (batch, n_features) block of angles and
-        return its (batch, n_measured) Pauli-Z expectations."""
-        return self._run_stage(stage, inputs, stage_params)[1]
 
     def _run_stage(
         self, stage: int, inputs: np.ndarray, stage_params: np.ndarray
@@ -250,15 +210,6 @@ class MultiVqcModel:
             probabilities=softmax(scores),
         )
 
-    def forward(self, store: ParamStore, features: np.ndarray) -> ForwardTrace:
-        trace = self.forward_batch(store, np.asarray(features, dtype=np.float64)[None, :])
-        return ForwardTrace(
-            stage_inputs=tuple(x[0] for x in trace.stage_inputs),
-            stage_expectations=tuple(e[0] for e in trace.stage_expectations),
-            scores=trace.scores[0],
-            probabilities=trace.probabilities[0],
-        )
-
     def predict_batch(self, store: ParamStore, features: np.ndarray) -> np.ndarray:
         trace = self.forward_batch(store, features)
         return np.argmax(trace.probabilities, axis=1)
@@ -288,20 +239,25 @@ def nll_from_scores(
     return -weights * np.log(np.maximum(picked, PROB_FLOOR))
 
 
+def config_to_json_dict(config: MultiVqcConfig) -> dict:
+    """The chain's shape as stored in ``model.json`` and ``train_report.json``."""
+    return {
+        "n_features": config.n_features,
+        "n_classes": config.n_classes,
+        "n_vqcs": config.n_vqcs,
+        "encoding": config.encoding.value,
+        "ansatz": config.ansatz.value,
+        "n_layers": list(config.n_layers)
+        if isinstance(config.n_layers, tuple) else config.n_layers,
+        "reuploading": config.reuploading,
+        "rescale": config.rescale.value,
+    }
+
+
 def model_to_json_dict(config: MultiVqcConfig, store: ParamStore) -> dict:
     return {
         "format": MODEL_FORMAT,
-        "config": {
-            "n_features": config.n_features,
-            "n_classes": config.n_classes,
-            "n_vqcs": config.n_vqcs,
-            "encoding": config.encoding.value,
-            "ansatz": config.ansatz.value,
-            "n_layers": list(config.n_layers)
-            if isinstance(config.n_layers, tuple) else config.n_layers,
-            "reuploading": config.reuploading,
-            "rescale": config.rescale.value,
-        },
+        "config": config_to_json_dict(config),
         "param_counts": list(store.counts),
         "params": [float(v) for v in store.values],
     }
@@ -335,9 +291,4 @@ def save_model(path: str, config: MultiVqcConfig, store: ParamStore) -> None:
 
 
 def load_model(path: str) -> tuple[MultiVqcModel, ParamStore]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_json_dict(payload)
+    return model_from_json_dict(read_json(path, "model file"))

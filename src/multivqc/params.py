@@ -37,28 +37,9 @@ class ParamStore:
         store.values = rng.uniform(0.0, 2.0 * np.pi, size=store.total)
         return store
 
-    def flat_index(self, vqc_index: int, param_id: int) -> int:
-        if not 0 <= vqc_index < len(self.counts):
-            raise ConfigError(f"vqc_index {vqc_index} out of range")
-        if not 0 <= param_id < self.counts[vqc_index]:
-            raise ConfigError(
-                f"param_id {param_id} out of range for circuit {vqc_index} "
-                f"({self.counts[vqc_index]} parameters)"
-            )
-        return self.offsets[vqc_index] + param_id
-
     def slice_for(self, vqc_index: int) -> np.ndarray:
         """View of the parameters owned by one circuit."""
         if not 0 <= vqc_index < len(self.counts):
             raise ConfigError(f"vqc_index {vqc_index} out of range")
         start = self.offsets[vqc_index]
         return self.values[start:start + self.counts[vqc_index]]
-
-    def copy(self) -> "ParamStore":
-        return ParamStore(self.counts, self.values.copy())
-
-    def replaced(self, flat_index: int, value: float) -> "ParamStore":
-        """Copy with one entry overwritten."""
-        out = self.copy()
-        out.values[flat_index] = value
-        return out

@@ -83,15 +83,21 @@ class SplitDataset:
     seed: int
 
 
-def load_schema(path: str) -> dict:
+def read_json(path, what: str):
+    """Parse a JSON file; an unreadable or malformed one is a ConfigError
+    naming ``what`` and the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            schema = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read schema file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"schema file {path} is not valid JSON: {exc}") from exc
-    if "name" not in schema or "label_column" not in schema:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_schema(path: str) -> dict:
+    schema = read_json(path, "schema file")
+    if not isinstance(schema, dict) or "name" not in schema or "label_column" not in schema:
         raise ConfigError(f"schema file {path} needs 'name' and 'label_column'")
     return schema
 
@@ -336,9 +342,8 @@ class AngleEncoder:
 class Pipeline:
     """Scale, project, and encode, in that order and no other.
 
-    Stage methods must be called in sequence (fit_scaler, fit_projection,
-    fit_encoder); calling one out of order raises PipelineStateError. fit()
-    runs all three on a training matrix.
+    fit() fits all three steps on a training matrix; transform and
+    serialization before fit() raise PipelineStateError.
     """
 
     def __init__(self, n_components: int,
@@ -350,29 +355,14 @@ class Pipeline:
         self.scaler: MinMaxScaler | None = None
         self.pca: PcaModel | None = None
         self.encoder: AngleEncoder | None = None
-        self._train_scaled: np.ndarray | None = None
-
-    def fit_scaler(self, train_features: np.ndarray) -> "Pipeline":
-        self.scaler = MinMaxScaler().fit(train_features)
-        self._train_scaled = self.scaler.transform(train_features)
-        return self
-
-    def fit_projection(self) -> "Pipeline":
-        if self._train_scaled is None:
-            raise PipelineStateError("fit_projection called before fit_scaler")
-        self.pca = fit_pca(self._train_scaled, self.n_components)
-        return self
-
-    def fit_encoder(self) -> "Pipeline":
-        if self.pca is None:
-            raise PipelineStateError("fit_encoder called before fit_projection")
-        projected = transform_pca(self.pca, self._train_scaled)
-        self.encoder = AngleEncoder(self.angle_range).fit(projected)
-        self._train_scaled = None
-        return self
 
     def fit(self, train_features: np.ndarray) -> "Pipeline":
-        return self.fit_scaler(train_features).fit_projection().fit_encoder()
+        self.scaler = MinMaxScaler().fit(train_features)
+        scaled = self.scaler.transform(train_features)
+        self.pca = fit_pca(scaled, self.n_components)
+        projected = transform_pca(self.pca, scaled)
+        self.encoder = AngleEncoder(self.angle_range).fit(projected)
+        return self
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         if self.encoder is None:
@@ -408,22 +398,25 @@ class Pipeline:
     def from_json_dict(cls, payload: dict) -> "Pipeline":
         if not isinstance(payload, dict) or payload.get("format") != PIPELINE_FORMAT:
             raise ConfigError("not a serialized pipeline document")
-        pipe = cls(int(payload["n_components"]), tuple(payload["angle_range"]))
-        scaler = MinMaxScaler()
-        scaler.mins = np.asarray(payload["scaler"]["mins"], dtype=np.float64)
-        scaler.maxs = np.asarray(payload["scaler"]["maxs"], dtype=np.float64)
-        scaler.kept = np.asarray(payload["scaler"]["kept"], dtype=bool)
-        pipe.scaler = scaler
-        pipe.pca = PcaModel(
-            mean=np.asarray(payload["pca"]["mean"], dtype=np.float64),
-            components=np.asarray(payload["pca"]["components"], dtype=np.float64),
-            explained_variance_ratio=np.asarray(
-                payload["pca"]["explained_variance_ratio"], dtype=np.float64),
-        )
-        encoder = AngleEncoder(pipe.angle_range)
-        encoder.mins = np.asarray(payload["encoder"]["mins"], dtype=np.float64)
-        encoder.maxs = np.asarray(payload["encoder"]["maxs"], dtype=np.float64)
-        pipe.encoder = encoder
+        try:
+            pipe = cls(int(payload["n_components"]), tuple(payload["angle_range"]))
+            scaler = MinMaxScaler()
+            scaler.mins = np.asarray(payload["scaler"]["mins"], dtype=np.float64)
+            scaler.maxs = np.asarray(payload["scaler"]["maxs"], dtype=np.float64)
+            scaler.kept = np.asarray(payload["scaler"]["kept"], dtype=bool)
+            pipe.scaler = scaler
+            pipe.pca = PcaModel(
+                mean=np.asarray(payload["pca"]["mean"], dtype=np.float64),
+                components=np.asarray(payload["pca"]["components"], dtype=np.float64),
+                explained_variance_ratio=np.asarray(
+                    payload["pca"]["explained_variance_ratio"], dtype=np.float64),
+            )
+            encoder = AngleEncoder(pipe.angle_range)
+            encoder.mins = np.asarray(payload["encoder"]["mins"], dtype=np.float64)
+            encoder.maxs = np.asarray(payload["encoder"]["maxs"], dtype=np.float64)
+            pipe.encoder = encoder
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed pipeline document: {exc}") from exc
         return pipe
 
 

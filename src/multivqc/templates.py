@@ -56,11 +56,6 @@ class VqcConfig:
         object.__setattr__(self, "encoding", Encoding(self.encoding))
         object.__setattr__(self, "ansatz", Ansatz(self.ansatz))
 
-    def with_layers(self, n_layers: int) -> "VqcConfig":
-        return VqcConfig(n_qubits=self.n_qubits, encoding=self.encoding,
-                         ansatz=self.ansatz, n_layers=n_layers,
-                         reuploading=self.reuploading, n_measured=self.n_measured)
-
 
 def params_per_layer(ansatz: Ansatz, n_qubits: int) -> int:
     return 3 * n_qubits if ansatz == Ansatz.STRONGLY else n_qubits

@@ -21,15 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, MultiVqcError, NumericalError
+from .errors import ConfigError, DataError, MultiVqcError, NumericalError
 from .gradients import batch_loss_gradient
 from .metrics import Metrics, evaluate
 from .model import (
     MultiVqcConfig,
     MultiVqcModel,
     Rescale,
+    config_to_json_dict,
     nll_from_scores,
-    PROB_FLOOR,
 )
 from .params import ParamStore
 from .pipeline import SplitDataset
@@ -48,13 +48,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,6 @@ def compute_class_weights(labels: np.ndarray) -> ClassWeights:
                 if a * count0 == b * count1:
                     return ClassWeights(weight_class0=a, weight_class1=b)
     return ClassWeights(weight_class0=weight0, weight_class1=weight1)
-
-
-def weighted_loss(probabilities: np.ndarray, label: int, weights: ClassWeights) -> float:
-    """-weight(label) * log(probabilities[label]), probability floored at 1e-12."""
-    p = float(np.asarray(probabilities, dtype=np.float64)[label])
-    weight = weights.weight_class1 if label == 1 else weights.weight_class0
-    return -weight * float(np.log(max(p, PROB_FLOOR)))
 
 
 class Adam:
@@ -502,12 +495,7 @@ def train_report_to_json_dict(
 ) -> dict:
     return {
         "format": "multivqc-train-report/1",
-        "model_config": {
-            "n_features": config.n_features, "n_classes": config.n_classes,
-            "n_vqcs": config.n_vqcs, "encoding": config.encoding.value,
-            "ansatz": config.ansatz.value, "n_layers": config.n_layers,
-            "reuploading": config.reuploading, "rescale": config.rescale.value,
-        },
+        "model_config": config_to_json_dict(config),
         "train_config": {
             "max_epochs": tcfg.max_epochs, "patience": tcfg.patience,
             "learning_rate": tcfg.learning_rate, "batch_size": tcfg.batch_size,

@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from multivqc.cli import OUTPUT_DIR_ENV, main
-from multivqc.core import run_circuit
+from multivqc.core import run_circuit_batch
 from multivqc.datasets import DATASET_NAMES, load_dataset
-from multivqc.gradients import batch_loss_gradient, finite_difference_loss_gradient
+from multivqc.gradients import batch_loss, batch_loss_gradient
 from multivqc.metrics import evaluate
 from multivqc.model import MultiVqcConfig, MultiVqcModel, Rescale
+from multivqc.params import ParamStore
 from multivqc.pipeline import (
     ANGLE_RANGES,
     Dataset,
@@ -52,10 +53,11 @@ def test_criterion_1_simulator_matches_dense_oracle():
         gates, n_params = build_vqc(cfg)
         params = rng.uniform(0.0, 2.0 * np.pi, n_params)
         features = rng.uniform(0.0, np.pi, cfg.n_qubits)
-        state = run_circuit(cfg.n_qubits, gates, params=params, features=features)
+        amps = run_circuit_batch(cfg.n_qubits, gates, params=params,
+                                 features=features[None])[0]
         ref = oracles.oracle_state(cfg.n_qubits, gates, params=params,
                                    features=features)
-        worst = max(worst, float(np.max(np.abs(state.amplitudes - ref))))
+        worst = max(worst, float(np.max(np.abs(amps - ref))))
     elapsed = time.perf_counter() - start
     report(1, worst < 1e-12 and elapsed < 10.0,
            f"500 random circuits (2-3 qubits, both ansatzes, 1-5 layers): "
@@ -86,8 +88,10 @@ def test_criterion_2_parameter_shift_matches_finite_differences():
         labels = rng.integers(0, 2, size=features.shape[0])
         weights = rng.uniform(0.2, 1.8, size=2)
         _, grad = batch_loss_gradient(model, store, features, labels, weights)
-        numeric = finite_difference_loss_gradient(model, store, features,
-                                                  labels, weights)
+        numeric = oracles.fd_gradient(
+            lambda values: batch_loss(model, ParamStore(store.counts, values),
+                                      features, labels, weights),
+            store.values, h=1e-5)
         worst = max(worst, float(np.max(np.abs(grad - numeric))))
         chain_counts[n_vqcs] += 1
     elapsed = time.perf_counter() - start

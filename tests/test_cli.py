@@ -141,6 +141,54 @@ class TestExitCodes:
     def test_successful_run_returns_zero(self, out_dir):
         assert main(["pca-report", "--dataset", "prostate"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train.max-epochs=0"],
+        ["sweep", *FAST_SWEEP, "--train.patience=0"],
+        ["baseline", "--train.batch-size=0"],
+        ["train", *FAST_TRAIN, '--angle-range=[1, "x"]'],
+    ])
+    def test_bad_training_settings_are_config_errors(self, out_dir, capsys, argv):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def _remove_model(run_dir):
+    (run_dir / "model.json").unlink()
+
+
+def _corrupt_run_config(run_dir):
+    (run_dir / "resolved_config.json").write_text("{truncated", encoding="utf-8")
+
+
+def _drop_pipeline_key(run_dir):
+    path = run_dir / "pipeline.json"
+    payload = json.loads(path.read_text())
+    del payload["n_components"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("trained")
+    assert main(["train", *FAST_TRAIN, f"--output-dir={run_dir}"]) == 0
+    return run_dir
+
+
+class TestEvalUnreadableRun:
+    @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
+                                        _drop_pipeline_key])
+    def test_damaged_artifact_is_config_error(self, trained_run, tmp_path,
+                                              monkeypatch, capsys, damage):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for path in trained_run.iterdir():
+            (run_dir / path.name).write_bytes(path.read_bytes())
+        assert main(["eval", "--run-dir", str(run_dir)]) == 0
+        damage(run_dir)
+        assert main(["eval", "--run-dir", str(run_dir)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestPcaReport:
     def test_writes_table_and_notes_synthetic_source(self, out_dir, capsys):

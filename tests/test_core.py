@@ -4,14 +4,11 @@ import pytest
 from multivqc.core import (
     GateKind,
     GateOp,
-    Statevector,
-    apply_gate,
+    apply_cnot_batch,
+    apply_rotation_batch,
     cnot,
-    expectation_z,
     expectations_z_batch,
-    new_zero_state,
     rotation,
-    run_circuit,
     run_circuit_batch,
     run_circuit_blocks,
 )
@@ -37,60 +34,60 @@ def random_vqc(rng, max_qubits=3):
 
 class TestNewZeroState:
     def test_one_qubit(self):
-        state = new_zero_state(1)
-        assert np.array_equal(state.amplitudes, [1.0 + 0.0j, 0.0 + 0.0j])
+        amps = run_circuit_batch(1, [])[0]
+        assert np.array_equal(amps, [1.0 + 0.0j, 0.0 + 0.0j])
 
     def test_two_qubits(self):
-        state = new_zero_state(2)
-        assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
+        amps = run_circuit_batch(2, [])[0]
+        assert np.array_equal(amps, [1, 0, 0, 0])
 
     def test_three_qubits_length_and_norm(self):
-        state = new_zero_state(3)
-        assert state.amplitudes.shape == (8,)
-        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0)
+        amps = run_circuit_batch(3, [])[0]
+        assert amps.shape == (8,)
+        assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [0, -1, 9, 100])
     def test_out_of_range(self, bad):
         with pytest.raises(ConfigError):
-            new_zero_state(bad)
+            run_circuit_batch(bad, [])
 
 
 class TestApplyGate:
     def test_rx_pi_gives_minus_i_one(self):
-        state = apply_gate(new_zero_state(1), rotation(GateKind.RX, 0, angle=np.pi))
-        assert np.allclose(state.amplitudes, [0.0, -1.0j], atol=1e-12)
+        amps = run_circuit_batch(1, [rotation(GateKind.RX, 0, angle=np.pi)])[0]
+        assert np.allclose(amps, [0.0, -1.0j], atol=1e-12)
 
     def test_ry_half_pi_equal_superposition(self):
-        state = apply_gate(new_zero_state(1), rotation(GateKind.RY, 0, angle=np.pi / 2))
+        amps = run_circuit_batch(1, [rotation(GateKind.RY, 0, angle=np.pi / 2)])[0]
         expected = [np.cos(np.pi / 4), np.sin(np.pi / 4)]
-        assert np.allclose(state.amplitudes, expected, atol=1e-12)
+        assert np.allclose(amps, expected, atol=1e-12)
 
     def test_rz_phases_basis_states(self):
         theta = 0.83
-        plus = apply_gate(new_zero_state(1), rotation(GateKind.RY, 0, angle=np.pi / 2))
-        rotated = apply_gate(plus, rotation(GateKind.RZ, 0, angle=theta))
-        expected = plus.amplitudes * np.array(
+        plus = run_circuit_batch(1, [rotation(GateKind.RY, 0, angle=np.pi / 2)])[0]
+        rotated = apply_rotation_batch(plus[None], GateKind.RZ, 0, theta, 1)[0]
+        expected = plus * np.array(
             [np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
-        assert np.allclose(rotated.amplitudes, expected, atol=1e-12)
+        assert np.allclose(rotated, expected, atol=1e-12)
 
     def test_cnot_flips_target_where_control_set(self):
         # |10> with qubit 0 as the most significant bit sits at index 2.
-        state = Statevector(n_qubits=2, amplitudes=np.array([0, 0, 1, 0], dtype=complex))
-        flipped = apply_gate(state, cnot(0, 1))
-        assert np.array_equal(flipped.amplitudes, [0, 0, 0, 1])
+        amps = np.array([0, 0, 1, 0], dtype=complex)
+        flipped = apply_cnot_batch(amps[None], 0, 1, 2)[0]
+        assert np.array_equal(flipped, [0, 0, 0, 1])
 
     def test_cnot_identity_when_control_clear(self):
-        state = apply_gate(new_zero_state(2), cnot(0, 1))
-        assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
+        amps = run_circuit_batch(2, [cnot(0, 1)])[0]
+        assert np.array_equal(amps, [1, 0, 0, 0])
 
     def test_invalid_target_raises(self):
         with pytest.raises(IndexError):
-            apply_gate(new_zero_state(2), rotation(GateKind.RX, 5, angle=0.1))
+            run_circuit_batch(2, [rotation(GateKind.RX, 5, angle=0.1)])
 
     def test_rotation_without_angle_raises(self):
         gate = rotation(GateKind.RX, 0, param_id=0)
         with pytest.raises(ModelDefinitionError):
-            apply_gate(new_zero_state(1), gate)
+            run_circuit_batch(1, [gate])
 
     @pytest.mark.parametrize("kind", [GateKind.RX, GateKind.RY, GateKind.RZ])
     def test_single_gate_matches_dense_oracle(self, kind):
@@ -101,10 +98,9 @@ class TestApplyGate:
             theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             amps /= np.linalg.norm(amps)
-            state = Statevector(n_qubits=n, amplitudes=amps)
-            moved = apply_gate(state, rotation(kind, target, angle=theta))
+            moved = apply_rotation_batch(amps[None], kind, target, theta, n)[0]
             dense = oracles.embed_single(n, target, oracles.rotation_matrix(kind, theta))
-            assert np.allclose(moved.amplitudes, dense @ amps, atol=1e-12)
+            assert np.allclose(moved, dense @ amps, atol=1e-12)
 
     def test_cnot_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
@@ -113,10 +109,9 @@ class TestApplyGate:
             control, target = rng.choice(n, size=2, replace=False)
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             amps /= np.linalg.norm(amps)
-            state = Statevector(n_qubits=n, amplitudes=amps)
-            moved = apply_gate(state, cnot(int(control), int(target)))
+            moved = apply_cnot_batch(amps[None], int(control), int(target), n)[0]
             dense = oracles.cnot_matrix(n, int(control), int(target))
-            assert np.allclose(moved.amplitudes, dense @ amps, atol=1e-12)
+            assert np.allclose(moved, dense @ amps, atol=1e-12)
 
     def test_gate_then_inverse_restores_state(self):
         rng = np.random.default_rng(13)
@@ -124,90 +119,89 @@ class TestApplyGate:
             n = 3
             amps = rng.normal(size=8) + 1j * rng.normal(size=8)
             amps /= np.linalg.norm(amps)
-            state = Statevector(n_qubits=n, amplitudes=amps.copy())
             kinds = (GateKind.RX, GateKind.RY, GateKind.RZ)
             kind = kinds[int(rng.integers(0, 3))]
             target = int(rng.integers(0, n))
             theta = float(rng.uniform(-np.pi, np.pi))
-            forth = apply_gate(state, rotation(kind, target, angle=theta))
-            back = apply_gate(forth, rotation(kind, target, angle=-theta))
-            assert np.allclose(back.amplitudes, amps, atol=1e-10)
+            forth = apply_rotation_batch(amps[None], kind, target, theta, n)
+            back = apply_rotation_batch(forth, kind, target, -theta, n)[0]
+            assert np.allclose(back, amps, atol=1e-10)
             control = int(rng.integers(0, n))
             other = (control + 1) % n
-            once = apply_gate(state, cnot(control, other))
-            twice = apply_gate(once, cnot(control, other))
-            assert np.allclose(twice.amplitudes, amps, atol=1e-10)
+            once = apply_cnot_batch(amps[None], control, other, n)
+            twice = apply_cnot_batch(once, control, other, n)[0]
+            assert np.allclose(twice, amps, atol=1e-10)
 
 
 class TestExpectationZ:
     def test_zero_state_every_qubit_plus_one(self):
-        state = new_zero_state(3)
+        amps = run_circuit_batch(3, [])
         for q in range(3):
-            assert expectation_z(state, q) == pytest.approx(1.0, abs=1e-12)
+            assert expectations_z_batch(amps, [q], 3)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_flipped_qubit_minus_one(self):
-        state = apply_gate(new_zero_state(1), rotation(GateKind.RX, 0, angle=np.pi))
-        assert expectation_z(state, 0) == pytest.approx(-1.0, abs=1e-10)
+        amps = run_circuit_batch(1, [rotation(GateKind.RX, 0, angle=np.pi)])
+        assert expectations_z_batch(amps, [0], 1)[0, 0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_equal_superposition_zero(self):
-        state = apply_gate(new_zero_state(1), rotation(GateKind.RY, 0, angle=np.pi / 2))
-        assert expectation_z(state, 0) == pytest.approx(0.0, abs=1e-10)
+        amps = run_circuit_batch(1, [rotation(GateKind.RY, 0, angle=np.pi / 2)])
+        assert expectations_z_batch(amps, [0], 1)[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_ry_angle_gives_cosine(self):
         for theta in np.linspace(-np.pi, np.pi, 9):
-            state = apply_gate(new_zero_state(1), rotation(GateKind.RY, 0, angle=theta))
-            assert expectation_z(state, 0) == pytest.approx(np.cos(theta), abs=1e-12)
+            amps = run_circuit_batch(1, [rotation(GateKind.RY, 0, angle=theta)])
+            assert expectations_z_batch(amps, [0], 1)[0, 0] == pytest.approx(
+                np.cos(theta), abs=1e-12)
 
     def test_invalid_index_raises(self):
         with pytest.raises(IndexError):
-            expectation_z(new_zero_state(2), 2)
+            expectations_z_batch(run_circuit_batch(2, []), [2], 2)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(14)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        state = Statevector(n_qubits=3, amplitudes=amps)
-        shifted = Statevector(n_qubits=3, amplitudes=amps * np.exp(1j * 0.7))
+        shifted = amps * np.exp(1j * 0.7)
         for q in range(3):
-            assert expectation_z(state, q) == pytest.approx(
-                expectation_z(shifted, q), abs=1e-12)
+            assert expectations_z_batch(amps[None], [q], 3)[0, 0] == pytest.approx(
+                expectations_z_batch(shifted[None], [q], 3)[0, 0], abs=1e-12)
 
     def test_matches_operator_oracle(self):
         rng = np.random.default_rng(15)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        state = Statevector(n_qubits=3, amplitudes=amps)
         for q in range(3):
-            assert expectation_z(state, q) == pytest.approx(
+            assert expectations_z_batch(amps[None], [q], 3)[0, 0] == pytest.approx(
                 oracles.oracle_z_expectation(amps, q, 3), abs=1e-12)
 
 
 class TestRunCircuit:
     def test_empty_gate_list_is_identity(self):
-        state = run_circuit(2, [])
-        assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
+        amps = run_circuit_batch(2, [])[0]
+        assert np.array_equal(amps, [1, 0, 0, 0])
 
     def test_single_parameterized_ry_pi(self):
         gates = [rotation(GateKind.RY, 0, param_id=0)]
-        state = run_circuit(2, gates, params=np.array([np.pi]))
-        assert expectation_z(state, 0) == pytest.approx(-1.0, abs=1e-10)
+        amps = run_circuit_batch(2, gates, params=np.array([np.pi]))
+        assert expectations_z_batch(amps, [0], 2)[0, 0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_unresolvable_param_raises(self):
         gates = [rotation(GateKind.RX, 0, param_id=3)]
         with pytest.raises(ModelDefinitionError):
-            run_circuit(2, gates, params=np.array([0.1]))
+            run_circuit_batch(2, gates, params=np.array([0.1]))
 
     def test_unresolvable_feature_raises(self):
         gates = [rotation(GateKind.RX, 0, feature_id=2)]
         with pytest.raises(ModelDefinitionError):
-            run_circuit(2, gates, features=np.array([0.1, 0.2]))
+            run_circuit_batch(2, gates, features=np.array([[0.1, 0.2]]))
 
     def test_norm_preserved_over_random_circuits(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
             cfg, gates, params, features = random_vqc(rng)
-            state = run_circuit(cfg.n_qubits, gates, params=params, features=features)
-            assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+            amps = run_circuit_batch(cfg.n_qubits, gates, params=params,
+                                     features=features[None])[0]
+            assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-10
 
     def test_strongly_entangling_matches_oracle(self):
         rng = np.random.default_rng(17)
@@ -215,25 +209,26 @@ class TestRunCircuit:
         gates, n_params = build_vqc(cfg)
         params = rng.uniform(0, 2 * np.pi, n_params)
         features = rng.uniform(0, np.pi, 3)
-        state = run_circuit(3, gates, params=params, features=features)
+        amps = run_circuit_batch(3, gates, params=params, features=features[None])[0]
         ref = oracles.oracle_state(3, gates, params=params, features=features)
-        assert np.allclose(state.amplitudes, ref, atol=1e-12)
+        assert np.allclose(amps, ref, atol=1e-12)
 
     def test_random_circuits_match_oracle(self):
         rng = np.random.default_rng(18)
         for _ in range(40):
             cfg, gates, params, features = random_vqc(rng)
-            state = run_circuit(cfg.n_qubits, gates, params=params, features=features)
+            amps = run_circuit_batch(cfg.n_qubits, gates, params=params,
+                                     features=features[None])[0]
             ref = oracles.oracle_state(cfg.n_qubits, gates, params=params,
                                        features=features)
-            assert np.max(np.abs(state.amplitudes - ref)) < 1e-12
+            assert np.max(np.abs(amps - ref)) < 1e-12
 
     def test_deterministic_rerun_bitwise(self):
         rng = np.random.default_rng(19)
         cfg, gates, params, features = random_vqc(rng)
-        first = run_circuit(cfg.n_qubits, gates, params=params, features=features)
-        second = run_circuit(cfg.n_qubits, gates, params=params, features=features)
-        assert np.array_equal(first.amplitudes, second.amplitudes)
+        first = run_circuit_batch(cfg.n_qubits, gates, params=params, features=features[None])
+        second = run_circuit_batch(cfg.n_qubits, gates, params=params, features=features[None])
+        assert np.array_equal(first, second)
 
 
 class TestBatching:
@@ -244,9 +239,9 @@ class TestBatching:
         batched = run_circuit_batch(cfg.n_qubits, gates, params=params,
                                     features=features)
         for b in range(7):
-            single = run_circuit(cfg.n_qubits, gates, params=params,
-                                 features=features[b])
-            assert np.allclose(batched[b], single.amplitudes, atol=1e-14)
+            single = run_circuit_batch(cfg.n_qubits, gates, params=params,
+                                       features=features[b:b + 1])[0]
+            assert np.allclose(batched[b], single, atol=1e-14)
 
     def test_batch_expectations_match_single(self):
         rng = np.random.default_rng(21)
@@ -255,9 +250,9 @@ class TestBatching:
         amps = run_circuit_batch(cfg.n_qubits, gates, params=params, features=features)
         table = expectations_z_batch(amps, range(cfg.n_qubits), cfg.n_qubits)
         for b in range(5):
-            state = Statevector(n_qubits=cfg.n_qubits, amplitudes=amps[b])
             for q in range(cfg.n_qubits):
-                assert table[b, q] == pytest.approx(expectation_z(state, q), abs=1e-12)
+                single = expectations_z_batch(amps[b][None], [q], cfg.n_qubits)[0, 0]
+                assert table[b, q] == pytest.approx(single, abs=1e-12)
 
     def test_param_blocks_match_separate_runs(self):
         rng = np.random.default_rng(22)
@@ -284,10 +279,16 @@ class TestBatching:
         stacked = run_circuit_blocks(cfg.n_qubits, gates, params=params,
                                      features=features, gate_deltas=deltas)
         for row, gate_index in enumerate(picked):
-            ref = run_circuit_batch(cfg.n_qubits, gates, params=params,
-                                    features=features,
-                                    shift=(int(gate_index), deltas[row, gate_index]))
-            assert np.allclose(stacked[row * 3:(row + 1) * 3], ref, atol=1e-14)
+            gate = gates[gate_index]
+            for b in range(3):
+                # Gate ``gate_index`` as a fixed-angle copy carrying the delta.
+                angle = oracles.resolve_gate_angle(gate, params, features[b])
+                shifted = list(gates)
+                shifted[gate_index] = rotation(gate.kind, gate.target,
+                                               angle=angle + deltas[row, gate_index])
+                ref = oracles.oracle_state(cfg.n_qubits, shifted, params=params,
+                                           features=features[b])
+                assert np.allclose(stacked[row * 3 + b], ref, atol=1e-14)
 
     def test_block_count_mismatch_raises(self):
         cfg = VqcConfig(n_qubits=2)

