@@ -6,9 +6,9 @@ of the projected columns into a rotation-angle range (default [0, pi]).
 Every statistic is fitted on the training split only; validation and test
 values falling outside the fitted range are clipped.
 
-PCA is a mean-centered covariance eigendecomposition computed by a cyclic
-Jacobi sweep (feature counts here are tiny). Component sign convention: the
-largest-magnitude entry of each component is positive.
+PCA is a mean-centered covariance eigendecomposition computed by LAPACK
+through ``np.linalg.eigh``. Component sign convention: the largest-magnitude
+entry of each component is positive.
 """
 
 from __future__ import annotations
@@ -222,45 +222,6 @@ class PcaModel:
     explained_variance_ratio: np.ndarray  # (k,), nonincreasing
 
 
-def _jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14,
-                 max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unordered. Each sweep
-    zeroes every off-diagonal pair once; stops when the off-diagonal mass
-    is negligible against the matrix scale.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    scale = max(np.abs(a).max(), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off <= tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.hypot(theta, 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                vcol_p, vcol_q = vecs[:, p].copy(), vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s * vcol_q
-                vecs[:, q] = s * vcol_p + c * vcol_q
-    return np.diag(a).copy(), vecs
-
-
 def fit_pca(train_features: np.ndarray, k: int) -> PcaModel:
     train_features = np.asarray(train_features, dtype=np.float64)
     n, d = train_features.shape
@@ -271,7 +232,7 @@ def fit_pca(train_features: np.ndarray, k: int) -> PcaModel:
     mean = train_features.mean(axis=0)
     centered = train_features - mean
     cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
     eigvecs = eigvecs[:, order]
