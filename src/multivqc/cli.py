@@ -351,8 +351,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     raw_split, _, _ = _load_split(config)
     pipe = Pipeline.from_json_dict(read_json(run_dir / "pipeline.json", "pipeline file"))
     model, store = load_model(str(run_dir / "model.json"))
-    records = _metrics_records(config, raw_split.train.name,
-                               _model_split_metrics(model, store, _encode_with(pipe, raw_split)))
+    split_metrics = _model_split_metrics(model, store, _encode_with(pipe, raw_split))
+    records = _metrics_records(config, raw_split.train.name, split_metrics)
     _write_csv(run_dir / "eval_metrics.csv", METRICS_CSV_COLUMNS, records)
     for record in records:
         print(f"{record['split']}: precision {record['precision']:.4f}, "
@@ -428,7 +428,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             index = len(grid) + offset
             marker = cells_dir / f"cell_{index:04d}.json"
             if args.resume and marker.is_file():
-                rows.append(sweep_row_from_json(read_json(marker, "sweep cell marker")["row"]))
+                payload = read_json(marker, "sweep cell marker")
+                rows.append(sweep_row_from_json(payload["row"]))
                 continue
             data = datasets_by_width[k]
             logreg = fit_logreg(data, tcfg=tcfg)

@@ -226,8 +226,10 @@ class TestRunCircuit:
     def test_deterministic_rerun_bitwise(self):
         rng = np.random.default_rng(19)
         cfg, gates, params, features = random_vqc(rng)
-        first = run_circuit_batch(cfg.n_qubits, gates, params=params, features=features[None])
-        second = run_circuit_batch(cfg.n_qubits, gates, params=params, features=features[None])
+        first = run_circuit_batch(cfg.n_qubits, gates, params=params,
+                                  features=features[None])
+        second = run_circuit_batch(cfg.n_qubits, gates, params=params,
+                                   features=features[None])
         assert np.array_equal(first, second)
 
 

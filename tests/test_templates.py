@@ -90,7 +90,8 @@ class TestBasicEntanglingLayer:
                         n_layers=1, reuploading=False)
         gates, n_params = build_vqc(cfg)
         features = np.array([0.9, 0.4, 1.7])
-        amps = run_circuit_batch(3, gates, params=np.zeros(n_params), features=features[None])[0]
+        amps = run_circuit_batch(3, gates, params=np.zeros(n_params),
+                                 features=features[None])[0]
         ring_only = build_encoding(cfg) + tuple(
             g for g in build_basic_entangling_layer(3, 0) if g.kind == GateKind.CNOT)
         ref = oracles.oracle_state(3, ring_only, features=features)

@@ -93,34 +93,31 @@ class TestClassWeights:
             compute_class_weights(np.zeros(10, dtype=int))
 
 
-def weighted_nll(probabilities, label, weights: ClassWeights) -> float:
-    # Scores log(p) make the softmax return p itself.
-    with np.errstate(divide="ignore"):
-        scores = np.log(np.asarray(probabilities, dtype=np.float64))
-    return float(nll_from_scores(scores[None], np.array([label]), weights.as_array())[0])
-
-
 class TestWeightedLoss:
+    # Scores log(p) make the softmax inside nll_from_scores return p itself.
     def test_even_probabilities_give_log_two(self):
-        weights = ClassWeights(1.0, 1.0)
-        loss = weighted_nll(np.array([0.5, 0.5]), 1, weights)
+        weights = ClassWeights(1.0, 1.0).as_array()
+        loss = nll_from_scores(np.log([[0.5, 0.5]]), np.array([1]), weights)[0]
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_probability_floor_keeps_loss_finite(self):
-        weights = ClassWeights(1.0, 1.0)
+        weights = ClassWeights(1.0, 1.0).as_array()
         eps = 1e-12
-        loss = weighted_nll(np.array([eps, 1.0 - eps]), 0, weights)
+        loss = nll_from_scores(np.log([[eps, 1.0 - eps]]), np.array([0]), weights)[0]
         assert loss == pytest.approx(-np.log(1e-12), abs=1e-6)
-        zero = weighted_nll(np.array([1.0, 0.0]), 1, weights)
+        with np.errstate(divide="ignore"):
+            scores = np.log([[1.0, 0.0]])
+        zero = nll_from_scores(scores, np.array([1]), weights)[0]
         assert np.isfinite(zero)
         assert zero == pytest.approx(-np.log(1e-12), abs=1e-6)
 
     def test_loss_linear_in_weight(self):
-        probs = np.array([0.5, 0.5])
-        balanced = weighted_nll(probs, 0, ClassWeights(1.0, 1.0))
-        scaled = weighted_nll(probs, 0, ClassWeights(0.68, 0.32))
+        scores = np.log([[0.5, 0.5]])
+        balanced = nll_from_scores(scores, np.array([0]), np.array([1.0, 1.0]))[0]
+        weights = ClassWeights(0.68, 0.32).as_array()
+        scaled = nll_from_scores(scores, np.array([0]), weights)[0]
         assert scaled == pytest.approx(0.68 * balanced, rel=1e-12)
-        scaled1 = weighted_nll(probs, 1, ClassWeights(0.68, 0.32))
+        scaled1 = nll_from_scores(scores, np.array([1]), weights)[0]
         assert scaled1 == pytest.approx(0.32 * balanced, rel=1e-12)
 
 
