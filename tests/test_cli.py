@@ -160,6 +160,10 @@ def _corrupt_run_config(run_dir):
     (run_dir / "resolved_config.json").write_text("{truncated", encoding="utf-8")
 
 
+def _drop_run_config_object(run_dir):
+    (run_dir / "resolved_config.json").write_text("[]", encoding="utf-8")
+
+
 def _drop_pipeline_key(run_dir):
     path = run_dir / "pipeline.json"
     payload = json.loads(path.read_text())
@@ -167,26 +171,13 @@ def _drop_pipeline_key(run_dir):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
-@pytest.fixture(scope="module")
-def trained_run(tmp_path_factory):
-    run_dir = tmp_path_factory.mktemp("trained")
-    assert main(["train", *FAST_TRAIN, f"--output-dir={run_dir}"]) == 0
-    return run_dir
-
-
 class TestEvalUnreadableRun:
     @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
-                                        _drop_pipeline_key])
-    def test_damaged_artifact_is_config_error(self, trained_run, tmp_path,
-                                              monkeypatch, capsys, damage):
-        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        for path in trained_run.iterdir():
-            (run_dir / path.name).write_bytes(path.read_bytes())
-        assert main(["eval", "--run-dir", str(run_dir)]) == 0
-        damage(run_dir)
-        assert main(["eval", "--run-dir", str(run_dir)]) == 1
+                                        _drop_run_config_object, _drop_pipeline_key])
+    def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
+        assert main(["train", *FAST_TRAIN]) == 0
+        damage(out_dir)
+        assert main(["eval", "--run-dir", str(out_dir)]) == 1
         assert "error:" in capsys.readouterr().err
 
 
