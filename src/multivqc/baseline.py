@@ -56,12 +56,6 @@ def _loss_and_grad(
     return loss, x.T @ dz, float(dz.sum())
 
 
-def _split_loss(model: LogRegModel, x: np.ndarray, y: np.ndarray,
-                sample_w: np.ndarray) -> float:
-    loss, _, _ = _loss_and_grad(model.weights, model.bias, x, y, sample_w)
-    return loss
-
-
 def fit_logreg(
     data: SplitDataset,
     weights: ClassWeights | None = None,

@@ -27,6 +27,8 @@ from .errors import (
     MultiVqcError,
     NumericalError,
     PipelineStateError,
+    check_enum,
+    check_int,
 )
 from .metrics import Metrics, evaluate
 from .model import (
@@ -57,6 +59,7 @@ from .training import (
     run_cells,
     sweep_row_from_json,
     sweep_row_record,
+    sweep_row_to_json,
     sweep_rows_to_json_dict,
     SWEEP_CSV_COLUMNS,
     train,
@@ -303,20 +306,13 @@ def cmd_pca_report(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
+    model_cfg = MultiVqcConfig(n_features=config["n_components"], n_classes=2,
+                               **config["model"])
+    tcfg = TrainConfig(**config["train"])
     raw_split, source, path = _load_split(config)
     encoded, pipe = _encode_splits(raw_split, config["n_components"],
                                    _angle_range(config))
     weights = compute_class_weights(encoded.train.labels)
-    model_cfg = MultiVqcConfig(
-        n_features=config["n_components"], n_classes=2,
-        n_vqcs=config["model"]["n_vqcs"],
-        encoding=config["model"]["encoding"],
-        ansatz=config["model"]["ansatz"],
-        n_layers=config["model"]["n_layers"],
-        reuploading=config["model"]["reuploading"],
-        rescale=config["model"]["rescale"],
-    )
-    tcfg = TrainConfig(**config["train"])
     report = train(model_cfg, encoded, tcfg, weights)
     out = _output_dir(config)
     _write_json(out / "resolved_config.json",
@@ -341,12 +337,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_keys(config, defaults: dict, where: str, prefix: str = "") -> None:
+    """ConfigError naming the first key of ``defaults`` that ``config`` lacks."""
+    for key, default in defaults.items():
+        if not isinstance(config, dict) or key not in config:
+            raise ConfigError(f"{where} lacks key {prefix + key!r}")
+        if isinstance(default, dict):
+            _require_keys(config[key], default, where, f"{prefix}{key}.")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     config_path = run_dir / "resolved_config.json"
     payload = read_json(config_path, "run config")
-    if not isinstance(payload, dict) or not isinstance(payload.get("config"), dict):
-        raise ConfigError(f"run config {config_path} has no 'config' object")
+    _require_keys(payload, {"config": DEFAULT_CONFIG}, f"run config {config_path}")
     config = payload["config"]
     raw_split, _, _ = _load_split(config)
     pipe = Pipeline.from_json_dict(read_json(run_dir / "pipeline.json", "pipeline file"))
@@ -361,19 +365,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _marker_payload(base_seed: int, row: SweepRow) -> dict:
-    record = sweep_row_record(0, row)
-    record.pop("rank")
-    record["train_curve"] = list(row.train_curve)
-    record["val_curve"] = list(row.val_curve)
-    return {"format": "multivqc-sweep-cell/1", "base_seed": base_seed,
-            "row": record}
+CELL_MARKER_FORMAT = "multivqc-sweep-cell/1"
+SUMMARY_CSV_COLUMNS = ("features", "group", "model", "encoding", "ansatz",
+                       "reuploading", "layers", "val_f1", "test_f1",
+                       "test_precision", "test_recall")
 
 
-def _cell_signature(row_record: dict) -> tuple:
-    return (row_record["model"], row_record["features"], row_record["n_vqcs"],
-            row_record["encoding"], row_record["ansatz"],
-            row_record["reuploading"])
+def _sweep_counts(sweep_cfg: dict, key: str) -> tuple[int, ...]:
+    values = sweep_cfg[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep.{key} must be a list of integers, got {values!r}")
+    return tuple(check_int(f"sweep.{key} entry", v, 1) for v in values)
+
+
+def _read_marker(path: Path, base_seed: int, index: int, identity: tuple) -> SweepRow:
+    """The row a finished cell's marker holds. The marker must have the cell
+    marker format and the sweep's seed, and its row must be complete and be
+    the cell expected at ``index``; any other marker is a ConfigError."""
+    payload = read_json(path, "sweep cell marker")
+    try:
+        if not isinstance(payload, dict) or payload.get("format") != CELL_MARKER_FORMAT:
+            raise ConfigError(f"not a {CELL_MARKER_FORMAT} marker")
+        row = sweep_row_from_json(payload.get("row"))
+        found = (payload.get("base_seed"), row.cell, row.model, row.features,
+                 row.n_vqcs, row.encoding, row.ansatz, row.reuploading)
+        if found != (base_seed, index, *identity):
+            raise ConfigError("produced by a different grid or seed")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}; clear {path.parent} to start over") from None
+    return row
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -381,69 +401,64 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers is not None:
         config = _deep_merge(config, {"sweep": {"workers": args.workers}})
     sweep_cfg = config["sweep"]
-    raw_split, _, _ = _load_split(config)
-    feature_counts = tuple(int(k) for k in sweep_cfg["feature_counts"])
-    angle_range = _angle_range(config)
-    datasets_by_width = {}
-    for k in feature_counts:
-        encoded, _ = _encode_splits(raw_split, k, angle_range)
-        datasets_by_width[k] = encoded
-    grid = build_grid(feature_counts, tuple(int(v) for v in sweep_cfg["vqc_counts"]))
+    feature_counts = _sweep_counts(sweep_cfg, "feature_counts")
+    vqc_counts = _sweep_counts(sweep_cfg, "vqc_counts")
+    max_layers = check_int("sweep.max_layers", sweep_cfg["max_layers"], 1)
+    workers = check_int("sweep.workers", sweep_cfg["workers"], 1)
+    include_baseline = sweep_cfg["include_baseline"]
+    if not isinstance(include_baseline, bool):
+        raise ConfigError(f"sweep.include_baseline must be a boolean, got {include_baseline!r}")
     tcfg = TrainConfig(**config["train"])
-    rescale = Rescale(config["model"]["rescale"])
+    rescale = check_enum("model.rescale", Rescale, config["model"]["rescale"])
+    raw_split, _, _ = _load_split(config)
+    angle_range = _angle_range(config)
+    datasets_by_width = {k: _encode_splits(raw_split, k, angle_range)[0]
+                         for k in feature_counts}
+    grid = build_grid(feature_counts, vqc_counts)
+    # Every row of the table by cell index, as (model, features, n_vqcs, encoding,
+    # ansatz, reuploading): the grid cells, then a logistic baseline per width.
+    expected = {cell.index: ("multivqc", cell.features, cell.n_vqcs,
+                             cell.encoding.value, cell.ansatz.value, cell.reuploading)
+                for cell in grid}
+    if include_baseline:
+        expected.update((len(grid) + offset, ("logreg", k, None, None, None, None))
+                        for offset, k in enumerate(feature_counts))
 
     out = _output_dir(config)
     cells_dir = out / "cells"
     cells_dir.mkdir(exist_ok=True)
 
-    completed: dict[int, SweepRow] = {}
-    if args.resume:
-        for cell in grid:
-            marker = cells_dir / f"cell_{cell.index:04d}.json"
-            if not marker.is_file():
-                continue
-            payload = read_json(marker, "sweep cell marker")
-            expected = ("multivqc", cell.features, cell.n_vqcs,
-                        cell.encoding.value, cell.ansatz.value, cell.reuploading)
-            if (payload.get("base_seed") != tcfg.seed
-                    or _cell_signature(payload["row"]) != expected):
-                raise ConfigError(
-                    f"{marker} was produced by a different grid or seed; "
-                    f"clear {cells_dir} to start over"
-                )
-            completed[cell.index] = sweep_row_from_json(payload["row"])
-    pending = tuple(c for c in grid if c.index not in completed)
-    print(f"sweep: {len(grid)} cells ({len(completed)} already done, "
-          f"{len(pending)} to run), {sweep_cfg['workers']} worker(s)")
-    fresh = run_cells(pending, datasets_by_width, tcfg, rescale=rescale,
-                      max_layers=int(sweep_cfg["max_layers"]),
-                      max_workers=int(sweep_cfg["workers"]))
-    for row in fresh:
-        _write_json(cells_dir / f"cell_{row.cell:04d}.json",
-                    _marker_payload(tcfg.seed, row))
-    rows = sorted(list(completed.values()) + fresh, key=lambda r: r.cell)
+    def marker(index: int) -> Path:
+        return cells_dir / f"cell_{index:04d}.json"
 
-    if sweep_cfg["include_baseline"]:
-        for offset, k in enumerate(feature_counts):
-            index = len(grid) + offset
-            marker = cells_dir / f"cell_{index:04d}.json"
-            if args.resume and marker.is_file():
-                payload = read_json(marker, "sweep cell marker")
-                rows.append(sweep_row_from_json(payload["row"]))
-                continue
-            data = datasets_by_width[k]
-            logreg = fit_logreg(data, tcfg=tcfg)
-            m_train, m_val, m_test = logreg_split_metrics(logreg.model, data)
-            row = SweepRow(
-                cell=index, model="logreg", features=k, n_vqcs=None,
-                encoding=None, ansatz=None, reuploading=None, layers=None,
-                n_params=k + 1, val_loss=logreg.val_losses[logreg.best_epoch],
-                train=m_train, validation=m_val, test=m_test, status="ok",
-                train_curve=tuple(logreg.train_losses),
-                val_curve=tuple(logreg.val_losses),
-            )
-            _write_json(marker, _marker_payload(tcfg.seed, row))
-            rows.append(row)
+    done: dict[int, SweepRow] = {}
+    if args.resume:
+        done = {index: _read_marker(marker(index), tcfg.seed, index, identity)
+                for index, identity in expected.items() if marker(index).is_file()}
+    pending = tuple(cell for cell in grid if cell.index not in done)
+    print(f"sweep: {len(expected)} rows ({len(done)} already done, "
+          f"{len(expected) - len(done)} to run), {workers} worker(s)")
+    fresh = run_cells(pending, datasets_by_width, tcfg, rescale=rescale,
+                      max_layers=max_layers, max_workers=workers)
+    for index, (model, k, *_) in expected.items():
+        if model != "logreg" or index in done:
+            continue
+        data = datasets_by_width[k]
+        logreg = fit_logreg(data, tcfg=tcfg)
+        m_train, m_val, m_test = logreg_split_metrics(logreg.model, data)
+        fresh.append(SweepRow(
+            cell=index, model="logreg", features=k, n_vqcs=None,
+            encoding=None, ansatz=None, reuploading=None, layers=None,
+            n_params=k + 1, val_loss=logreg.val_losses[logreg.best_epoch],
+            train=m_train, validation=m_val, test=m_test, status="ok",
+            train_curve=tuple(logreg.train_losses),
+            val_curve=tuple(logreg.val_losses),
+        ))
+    for row in fresh:
+        _write_json(marker(row.cell), {"format": CELL_MARKER_FORMAT, "base_seed": tcfg.seed,
+                                       "row": sweep_row_to_json(row)})
+        done[row.cell] = row
+    rows = list(done.values())
 
     ok_rows = [r for r in rows if r.status == "ok"]
     if not ok_rows:
@@ -454,29 +469,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for rank, row in enumerate(ranked, start=1)])
     _write_json(out / "sweep.json", sweep_rows_to_json_dict(rows, tcfg.seed))
 
-    groups: dict[tuple, SweepRow] = {}
-    for row in ok_rows:
-        key = (row.features, row.model if row.model != "multivqc" else str(row.n_vqcs))
-        best = groups.get(key)
-        if (best is None or row.validation.f1 > best.validation.f1
-                or (row.validation.f1 == best.validation.f1
-                    and row.n_params < best.n_params)):
-            groups[key] = row
-    summary_records = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1])):
-        row = groups[key]
-        summary_records.append({
-            "features": row.features, "group": key[1], "model": row.model,
-            "encoding": row.encoding or "", "ansatz": row.ansatz or "",
-            "reuploading": "" if row.reuploading is None else row.reuploading,
-            "layers": "" if row.layers is None else row.layers,
-            "val_f1": row.validation.f1, "test_f1": row.test.f1,
-            "test_precision": row.test.precision, "test_recall": row.test.recall,
-        })
-    _write_csv(out / "summary.csv",
-               ("features", "group", "model", "encoding", "ansatz", "reuploading",
-                "layers", "val_f1", "test_f1", "test_precision", "test_recall"),
-               summary_records)
+    # The best row of a group is its first ok row in rank order.
+    summary: dict[tuple, dict] = {}
+    for row in ranked:
+        group = row.model if row.model != "multivqc" else str(row.n_vqcs)
+        if row.status == "ok" and (row.features, group) not in summary:
+            summary[row.features, group] = {**sweep_row_record(0, row), "group": group}
+    _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS,
+               [{column: summary[key][column] for column in SUMMARY_CSV_COLUMNS}
+                for key in sorted(summary)])
     failed = len(rows) - len(ok_rows)
     top = ranked[0]
     print(f"sweep complete: {len(ok_rows)} ok, {failed} failed; best "

@@ -67,10 +67,6 @@ class GateOp:
                     f"{self.kind.value} needs exactly one of angle/param_id/feature_id"
                 )
 
-    @property
-    def is_rotation(self) -> bool:
-        return self.kind != GateKind.CNOT
-
 
 def rotation(kind: GateKind, target: int, *, angle: float | None = None,
              param_id: int | None = None, feature_id: int | None = None) -> GateOp:

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, plus config value checks.
 
 The CLI maps these onto stable exit codes: ConfigError -> 1,
 DataError -> 2, NumericalError -> 3.
 """
+
+import numbers
 
 
 class MultiVqcError(Exception):
@@ -28,3 +30,20 @@ class NumericalError(MultiVqcError):
 
 class PipelineStateError(MultiVqcError):
     """Preprocessing stages used before fitting or out of order."""
+
+
+def check_int(name: str, value, low: int, high: float = float("inf")) -> int:
+    """``value`` if it is an integer (not a bool) in the range ``low..high``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value <= high):
+        raise ConfigError(f"{name} must be in {low}..{high}, got {value!r}")
+    return value
+
+
+def check_enum(name: str, enum_type, value):
+    """``value`` as a member of ``enum_type``."""
+    try:
+        return enum_type(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum_type)
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .core import GateOp, MAX_QUBITS, run_circuit_batch, expectations_z_batch
-from .errors import ConfigError
+from .errors import ConfigError, check_enum, check_int
 from .params import ParamStore
 from .pipeline import read_json
 from .templates import Ansatz, Encoding, VqcConfig, build_vqc
@@ -75,46 +75,34 @@ class MultiVqcConfig:
     rescale: Rescale = Rescale.PI
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n_features <= MAX_QUBITS:
-            raise ConfigError(
-                f"n_features must be in 2..{MAX_QUBITS}, got {self.n_features}"
-            )
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        check_int("n_features", self.n_features, 2, MAX_QUBITS)
+        check_int("n_classes", self.n_classes, 2)
         if self.n_classes > self.n_features:
             raise ConfigError(
                 f"need one measured qubit per class: n_classes {self.n_classes} "
                 f"exceeds qubit count {self.n_features}"
             )
-        if self.n_vqcs < 1:
-            raise ConfigError(f"n_vqcs must be >= 1, got {self.n_vqcs}")
+        check_int("n_vqcs", self.n_vqcs, 1)
         if isinstance(self.n_layers, (tuple, list)):
-            layers = tuple(int(v) for v in self.n_layers)
+            layers = tuple(check_int("n_layers entry", v, 1) for v in self.n_layers)
             if len(layers) != self.n_vqcs:
                 raise ConfigError(
                     f"per-circuit n_layers has {len(layers)} entries for "
                     f"{self.n_vqcs} circuits"
                 )
-            if any(v < 1 for v in layers):
-                raise ConfigError(f"every layer count must be >= 1, got {layers}")
             object.__setattr__(self, "n_layers", layers)
-        elif self.n_layers < 1:
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
-        object.__setattr__(self, "encoding", Encoding(self.encoding))
-        object.__setattr__(self, "ansatz", Ansatz(self.ansatz))
-        object.__setattr__(self, "rescale", Rescale(self.rescale))
+        else:
+            check_int("n_layers", self.n_layers, 1)
+        if not isinstance(self.reuploading, bool):
+            raise ConfigError(f"reuploading must be true or false, got {self.reuploading!r}")
+        object.__setattr__(self, "encoding", check_enum("encoding", Encoding, self.encoding))
+        object.__setattr__(self, "ansatz", check_enum("ansatz", Ansatz, self.ansatz))
+        object.__setattr__(self, "rescale", check_enum("rescale", Rescale, self.rescale))
 
     def layers_for_stage(self, stage: int) -> int:
         if isinstance(self.n_layers, tuple):
             return self.n_layers[stage]
         return self.n_layers
-
-    def with_layers(self, n_layers: int | tuple[int, ...]) -> "MultiVqcConfig":
-        return MultiVqcConfig(
-            n_features=self.n_features, n_classes=self.n_classes,
-            n_vqcs=self.n_vqcs, encoding=self.encoding, ansatz=self.ansatz,
-            n_layers=n_layers, reuploading=self.reuploading, rescale=self.rescale,
-        )
 
     def stage_configs(self) -> tuple[VqcConfig, ...]:
         """Per-circuit shape: intermediates measure all qubits, the last one

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, PipelineStateError
+from .errors import ConfigError, DataError, PipelineStateError, check_int
 
 PIPELINE_FORMAT = "multivqc-pipeline/1"
 
@@ -309,9 +309,7 @@ class Pipeline:
 
     def __init__(self, n_components: int,
                  angle_range: tuple[float, float] = ANGLE_RANGES["0_pi"]):
-        if n_components < 1:
-            raise ConfigError(f"n_components must be >= 1, got {n_components}")
-        self.n_components = n_components
+        self.n_components = check_int("n_components", n_components, 1)
         self.angle_range = (float(angle_range[0]), float(angle_range[1]))
         self.scaler: MinMaxScaler | None = None
         self.pca: PcaModel | None = None

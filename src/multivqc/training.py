@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MultiVqcError, NumericalError
+from .errors import ConfigError, DataError, MultiVqcError, NumericalError, check_int
 from .gradients import batch_loss_gradient
 from .metrics import Metrics, evaluate
 from .model import (
@@ -47,14 +47,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_int("max_epochs", self.max_epochs, 1)
+        check_int("patience", self.patience, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not rate > 0.0:
+            raise ConfigError(f"learning_rate must be a number > 0, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ def select_layers(
     stall = 0
     stop_reason = f"layer cap {max_layers} reached"
     for layers in range(1, max_layers + 1):
-        report = train(base_config.with_layers(layers), data, tcfg, weights)
+        report = train(replace(base_config, n_layers=layers), data, tcfg, weights)
         tried.append(layers)
         losses.append(report.best_val_loss)
         if report.best_val_loss < best_loss:
@@ -357,7 +356,7 @@ def run_cell(
             reuploading=cell.reuploading, rescale=rescale,
         )
         search = select_layers(base, data, seeded, max_layers=max_layers)
-        config = base.with_layers(search.chosen_layers)
+        config = replace(base, n_layers=search.chosen_layers)
         model = MultiVqcModel(config)
         store = search.best_report.final_params
         split_metrics = []
@@ -399,15 +398,13 @@ def run_cells(
     max_workers: int = 1,
 ) -> list[SweepRow]:
     """Run grid cells serially or on a process pool; the result list is in
-    cell-index order either way."""
+    the order of ``cells`` either way."""
     payloads = [(cell, datasets_by_width[cell.features], tcfg, rescale, max_layers)
                 for cell in cells]
     if max_workers <= 1 or len(cells) <= 1:
-        rows = [_run_cell_payload(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_run_cell_payload, payloads))
-    return sorted(rows, key=lambda r: r.cell)
+        return [_run_cell_payload(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(_run_cell_payload, payloads))
 
 
 def rank_rows(rows: list[SweepRow]) -> list[SweepRow]:
@@ -450,43 +447,48 @@ def sweep_row_record(rank: int, row: SweepRow) -> dict:
     }
 
 
+def sweep_row_to_json(row: SweepRow) -> dict:
+    """A row's JSON form, as ``sweep.json`` and the sweep's cell markers hold
+    it: its CSV record without the rank, plus the two loss curves."""
+    record = sweep_row_record(0, row)
+    del record["rank"]
+    return {**record, "train_curve": list(row.train_curve), "val_curve": list(row.val_curve)}
+
+
 def sweep_rows_to_json_dict(rows: list[SweepRow], base_seed: int) -> dict:
-    ranked = rank_rows(rows)
     return {
         "format": "multivqc-sweep/1",
         "seed": base_seed,
-        "rows": [
-            {**sweep_row_record(rank, row),
-             "train_curve": list(row.train_curve),
-             "val_curve": list(row.val_curve)}
-            for rank, row in enumerate(ranked, start=1)
-        ],
+        "rows": [{"rank": rank, **sweep_row_to_json(row)}
+                 for rank, row in enumerate(rank_rows(rows), start=1)],
     }
 
 
 def sweep_row_from_json(record: dict) -> SweepRow:
-    """Rebuild a row from its JSON record (used to resume interrupted sweeps)."""
-    def opt(value):
-        return None if value == "" else value
-    return SweepRow(
-        cell=int(record["cell"]), model=record["model"],
-        features=int(record["features"]),
-        n_vqcs=None if record["n_vqcs"] == "" else int(record["n_vqcs"]),
-        encoding=opt(record["encoding"]), ansatz=opt(record["ansatz"]),
-        reuploading=None if record["reuploading"] == "" else bool(record["reuploading"]),
-        layers=None if record["layers"] == "" else int(record["layers"]),
-        n_params=int(record["n_params"]),
-        val_loss=float("inf") if record["val_loss"] == "" else float(record["val_loss"]),
-        train=Metrics(float(record["train_precision"]), float(record["train_recall"]),
-                      float(record["train_f1"])),
-        validation=Metrics(float(record["val_precision"]), float(record["val_recall"]),
-                           float(record["val_f1"])),
-        test=Metrics(float(record["test_precision"]), float(record["test_recall"]),
-                     float(record["test_f1"])),
-        status=record["status"], error=record.get("error", ""),
-        train_curve=tuple(record.get("train_curve", ())),
-        val_curve=tuple(record.get("val_curve", ())),
-    )
+    """Rebuild a row from its ``sweep_row_to_json`` form (the rank of a
+    ``sweep.json`` row is ignored). A record that lacks a field or holds one
+    that does not convert to the field's type is a ConfigError."""
+    def opt(key, kind):
+        return None if record[key] == "" else kind(record[key])
+
+    def metrics(prefix):
+        return Metrics(*(float(record[f"{prefix}_{name}"])
+                         for name in ("precision", "recall", "f1")))
+    try:
+        return SweepRow(
+            cell=int(record["cell"]), model=record["model"],
+            features=int(record["features"]), n_vqcs=opt("n_vqcs", int),
+            encoding=opt("encoding", str), ansatz=opt("ansatz", str),
+            reuploading=opt("reuploading", bool), layers=opt("layers", int),
+            n_params=int(record["n_params"]),
+            val_loss=float("inf") if record["val_loss"] == "" else float(record["val_loss"]),
+            train=metrics("train"), validation=metrics("val"), test=metrics("test"),
+            status=record["status"], error=record["error"],
+            train_curve=tuple(record["train_curve"]),
+            val_curve=tuple(record["val_curve"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep row lacks a field or has a malformed one: {exc!r}") from None
 
 
 def train_report_to_json_dict(

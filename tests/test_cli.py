@@ -1,8 +1,10 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
+from multivqc import cli
 from multivqc.cli import (
     DEFAULT_CONFIG,
     OUTPUT_DIR_ENV,
@@ -106,6 +108,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(str(path), [])
 
+    def test_readme_documents_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULT_CONFIG
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_config_error(self, capsys):
@@ -146,6 +153,11 @@ class TestExitCodes:
         ["sweep", *FAST_SWEEP, "--train.patience=0"],
         ["baseline", "--train.batch-size=0"],
         ["train", *FAST_TRAIN, '--angle-range=[1, "x"]'],
+        ["train", '--train.max-epochs="x"'],
+        ["train", '--n-components="3"'],
+        ["train", "--model.encoding=foo"],
+        ["sweep", *FAST_SWEEP, '--sweep.max-layers="x"'],
+        ["train", *FAST_TRAIN, "--model.reuploading", "False"],
     ])
     def test_bad_training_settings_are_config_errors(self, out_dir, capsys, argv):
         assert main(argv) == 1
@@ -164,6 +176,13 @@ def _drop_run_config_object(run_dir):
     (run_dir / "resolved_config.json").write_text("[]", encoding="utf-8")
 
 
+def _drop_run_config_key(run_dir):
+    path = run_dir / "resolved_config.json"
+    payload = json.loads(path.read_text())
+    del payload["config"]["dataset"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 def _drop_pipeline_key(run_dir):
     path = run_dir / "pipeline.json"
     payload = json.loads(path.read_text())
@@ -173,7 +192,8 @@ def _drop_pipeline_key(run_dir):
 
 class TestEvalUnreadableRun:
     @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
-                                        _drop_run_config_object, _drop_pipeline_key])
+                                        _drop_run_config_object, _drop_run_config_key,
+                                        _drop_pipeline_key])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         damage(out_dir)
@@ -233,6 +253,27 @@ class TestTrainEval:
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
 
 
+# FAST_SWEEP's grid is cells 0-7; cell 8 is its logistic baseline.
+def _incomplete_marker(cells_dir):
+    (cells_dir / "cell_0000.json").write_text('{"base_seed": 0}', encoding="utf-8")
+
+
+def _baseline_other_seed(cells_dir):
+    marker = cells_dir / "cell_0008.json"
+    payload = json.loads(marker.read_text())
+    payload["base_seed"] = 999
+    payload["row"]["test_f1"] = 0.123
+    marker.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _grid_marker_on_baseline(cells_dir):
+    (cells_dir / "cell_0008.json").write_bytes((cells_dir / "cell_0000.json").read_bytes())
+
+
+def _non_object_marker(cells_dir):
+    (cells_dir / "cell_0003.json").write_text("[1, 2]", encoding="utf-8")
+
+
 class TestSweep:
     def test_sweep_writes_ranked_tables(self, out_dir):
         assert main(["sweep", *FAST_SWEEP]) == 0
@@ -252,13 +293,13 @@ class TestSweep:
 
     def test_resume_reuses_markers_and_matches_bytes(self, out_dir):
         assert main(["sweep", *FAST_SWEEP]) == 0
-        first_csv = (out_dir / "sweep.csv").read_bytes()
-        first_json = (out_dir / "sweep.json").read_bytes()
-        (out_dir / "sweep.csv").unlink()
-        (out_dir / "sweep.json").unlink()
+        names = ("sweep.csv", "sweep.json", "summary.csv",
+                 "cells/cell_0002.json", "cells/cell_0008.json")
+        first = {name: (out_dir / name).read_bytes() for name in names}
+        for name in names:
+            (out_dir / name).unlink()
         assert main(["sweep", "--resume", *FAST_SWEEP]) == 0
-        assert (out_dir / "sweep.csv").read_bytes() == first_csv
-        assert (out_dir / "sweep.json").read_bytes() == first_json
+        assert {name: (out_dir / name).read_bytes() for name in names} == first
 
     def test_fresh_rerun_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.delenv("MULTIVQC_DATA_DIR", raising=False)
@@ -273,10 +314,19 @@ class TestSweep:
         assert (outputs[0] / "summary.csv").read_bytes() == \
             (outputs[1] / "summary.csv").read_bytes()
 
-    def test_resume_rejects_markers_from_other_seed(self, out_dir):
+    @pytest.mark.parametrize("damage", [_incomplete_marker, _baseline_other_seed,
+                                        _grid_marker_on_baseline, _non_object_marker])
+    def test_resume_rejects_markers_from_other_seed(self, out_dir, capsys,
+                                                    monkeypatch, damage):
         assert main(["sweep", *FAST_SWEEP]) == 0
-        marker = out_dir / "cells" / "cell_0000.json"
-        payload = json.loads(marker.read_text())
-        payload["base_seed"] = 999
-        marker.write_text(json.dumps(payload), encoding="utf-8")
+        cells_dir = out_dir / "cells"
+        (cells_dir / "cell_0001.json").unlink()
+        damage(cells_dir)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a cell ran before every marker was checked")
+        monkeypatch.setattr(cli, "run_cells", must_not_run)
+        monkeypatch.setattr(cli, "fit_logreg", must_not_run)
+        capsys.readouterr()
         assert main(["sweep", "--resume", *FAST_SWEEP]) == 1
+        assert "error:" in capsys.readouterr().err

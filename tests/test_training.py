@@ -402,6 +402,17 @@ class TestSweepRows:
                           key=lambda r: r.cell)
         assert restored == sorted(rows, key=lambda r: r.cell)
 
+    def test_from_json_rejects_unreadable_records(self):
+        record = json.loads(json.dumps(
+            sweep_rows_to_json_dict([make_row(0, 0.5)], base_seed=0)["rows"][0]))
+        assert sweep_row_from_json(record) == make_row(0, 0.5)
+        for key in ("cell", "error", "val_curve"):
+            with pytest.raises(ConfigError):
+                sweep_row_from_json({k: v for k, v in record.items() if k != key})
+        for bad in (None, [1, 2], {**record, "layers": "x"}):
+            with pytest.raises(ConfigError):
+                sweep_row_from_json(bad)
+
     def test_ranks_start_at_one(self):
         payload = sweep_rows_to_json_dict([make_row(0, 0.5), make_row(1, 0.7)],
                                           base_seed=0)
