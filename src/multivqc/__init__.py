@@ -9,7 +9,6 @@ from .core import (
     cnot,
     rotation,
     run_circuit_batch,
-    run_circuit_blocks,
 )
 from .errors import (
     ConfigError,
@@ -23,6 +22,7 @@ from .gradients import (
     batch_loss,
     batch_loss_gradient,
     expectation_gradient,
+    run_circuit_blocks,
 )
 from .metrics import ConfusionCounts, Metrics, compute_metrics, confusion, evaluate
 from .model import (

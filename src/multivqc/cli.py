@@ -221,7 +221,7 @@ def _load_split(config: dict) -> tuple[SplitDataset, str, str]:
     (raw split, source description, resolved path)."""
     dataset, source, path = _load_raw_dataset(config)
     _announce_source(dataset, source, path)
-    raw = split(dataset, tuple(config["split"]["fractions"]), config["split"]["seed"])
+    raw = split(dataset, config["split"]["fractions"], config["split"]["seed"])
     return raw, source, path
 
 

@@ -31,9 +31,6 @@ class GateKind(str, Enum):
     CNOT = "CNOT"
 
 
-ROTATION_KINDS = (GateKind.RX, GateKind.RY, GateKind.RZ)
-
-
 @dataclass(frozen=True)
 class GateOp:
     """One circuit operation.
@@ -265,80 +262,3 @@ def adjoint_gradient(n_qubits: int, gates, params, features: np.ndarray,
         stacked = apply_rotation_batch(stacked, gate.kind, gate.target, -angle, n_qubits)
     return param_grad, input_grad
 
-
-def run_circuit_blocks(n_qubits: int, gates, params=None,
-                       features: np.ndarray | None = None,
-                       param_blocks: np.ndarray | None = None,
-                       gate_deltas: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate one circuit under R parameter variants for B samples at once.
-
-    Rows [r*B, (r+1)*B) of the returned (R*B, 2**n) array hold the circuit
-    run with parameter vector ``param_blocks[r]`` (falling back to ``params``
-    when no blocks are given) and with ``gate_deltas[r, i]`` added to gate
-    i's resolved angle. Shift-rule evaluations across many parameters thus
-    collapse into a single pass over the gate list.
-    """
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    if params is not None:
-        params = np.asarray(getattr(params, "values", params), dtype=np.float64)
-    n_blocks = 1
-    if param_blocks is not None:
-        param_blocks = np.asarray(param_blocks, dtype=np.float64)
-        n_blocks = param_blocks.shape[0]
-    if gate_deltas is not None:
-        gate_deltas = np.asarray(gate_deltas, dtype=np.float64)
-        if gate_deltas.shape[1] != len(gates):
-            raise ConfigError(
-                f"gate_deltas has {gate_deltas.shape[1]} columns for "
-                f"{len(gates)} gates"
-            )
-        if param_blocks is not None and gate_deltas.shape[0] != n_blocks:
-            raise ConfigError("param_blocks and gate_deltas disagree on block count")
-        n_blocks = gate_deltas.shape[0]
-    if features is not None:
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise ConfigError("features must be a (batch, n_features) array")
-        batch = features.shape[0]
-    else:
-        batch = 1
-    total = n_blocks * batch
-    amps = np.zeros((total, 2**n_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for i, gate in enumerate(gates):
-        _check_qubit(gate.target, n_qubits)
-        if gate.kind == GateKind.CNOT:
-            _check_qubit(gate.control, n_qubits)
-            amps = apply_cnot_batch(amps, gate.control, gate.target, n_qubits)
-            continue
-        if gate.param_id is not None and param_blocks is not None:
-            if not 0 <= gate.param_id < param_blocks.shape[1]:
-                raise ModelDefinitionError(
-                    f"unresolvable param_id {gate.param_id} "
-                    f"(blocks carry {param_blocks.shape[1]} parameters)"
-                )
-            base = param_blocks[:, gate.param_id]  # per-block, shape (R,)
-        else:
-            base = _resolve_angle(gate, params, features)  # scalar or (B,)
-        delta = None
-        if gate_deltas is not None:
-            column = gate_deltas[:, i]
-            if np.any(column):
-                delta = column  # per-block, shape (R,)
-        # Combine the block axis (R) and the sample axis (B) into (R*B,).
-        if gate.param_id is not None and param_blocks is not None:
-            block_vals = base + (delta if delta is not None else 0.0)
-            angle = np.repeat(block_vals, batch)
-        elif isinstance(base, np.ndarray):  # feature-bound, shape (B,)
-            if delta is None:
-                angle = np.tile(base, n_blocks) if n_blocks > 1 else base
-            else:
-                angle = (delta[:, None] + base[None, :]).reshape(-1)
-        else:  # fixed scalar angle
-            if delta is None:
-                angle = base
-            else:
-                angle = np.repeat(base + delta, batch)
-        amps = apply_rotation_batch(amps, gate.kind, gate.target, angle, n_qubits)
-    return amps

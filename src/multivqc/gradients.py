@@ -13,9 +13,11 @@ circuit.
 The parameter-shift rule (Mitarai et al., arXiv:1803.00745) stays as the
 reference: every trainable angle enters through a Pauli rotation, so the
 derivative of a Pauli-Z expectation is exactly
-[E(theta + pi/2) - E(theta - pi/2)] / 2. ``expectation_gradient`` and the
-per-circuit ``stage_*_jacobian`` functions compute it; the tests hold the
-adjoint gradient to it, and to central finite differences of ``batch_loss``.
+[E(theta + pi/2) - E(theta - pi/2)] / 2. ``_shift_jacobian`` shifts each
+gate on its own, every shift a block of one ``run_circuit_blocks`` call on
+the core runner. ``expectation_gradient`` and the per-circuit
+``stage_*_jacobian`` functions call it; the tests hold the adjoint gradient
+to them, and to central finite differences of ``batch_loss``.
 """
 
 from __future__ import annotations
@@ -23,17 +25,78 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    GateKind,
     GateOp,
+    _resolve_angle,
     adjoint_gradient,
     expectations_z_batch,
+    rotation,
     run_circuit_batch,
-    run_circuit_blocks,
 )
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import MultiVqcModel, nll_from_scores, rescale_derivative, softmax
 from .params import ParamStore
 
 SHIFT = np.pi / 2.0
+
+
+def run_circuit_blocks(n_qubits: int, gates, params=None,
+                       features: np.ndarray | None = None,
+                       gate_deltas: np.ndarray | None = None) -> np.ndarray:
+    """Run one circuit for B samples under R rows of per-gate angle offsets.
+
+    Rows [r*B, (r+1)*B) of the (R*B, 2**n) result add ``gate_deltas[r, i]``
+    to gate i's angle (R = 1 without offsets). Each rotation then reads its
+    angle from its own column of a per-row table, so all blocks share one
+    ``run_circuit_batch`` pass.
+    """
+    if params is not None:
+        params = np.asarray(getattr(params, "values", params), dtype=np.float64)
+    if features is not None:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ConfigError("features must be a (batch, n_features) array")
+    batch = 1 if features is None else features.shape[0]
+    if gate_deltas is None:
+        gate_deltas = np.zeros((1, len(gates)))
+    deltas = np.asarray(gate_deltas, dtype=np.float64)
+    if deltas.ndim != 2 or deltas.shape[1] != len(gates):
+        raise ConfigError(f"gate_deltas must have shape (blocks, {len(gates)}), "
+                          f"got {deltas.shape}")
+    rotations = [i for i, gate in enumerate(gates) if gate.kind != GateKind.CNOT]
+    angles = np.empty((deltas.shape[0], batch, len(rotations)), dtype=np.float64)
+    rebound = list(gates)
+    for column, i in enumerate(rotations):
+        gate = gates[i]
+        angles[:, :, column] = deltas[:, i, None] + _resolve_angle(gate, params, features)
+        rebound[i] = rotation(gate.kind, gate.target, feature_id=column)
+    return run_circuit_batch(n_qubits, rebound, features=angles.reshape(
+        deltas.shape[0] * batch, len(rotations)))
+
+
+def _shift_jacobian(n_qubits: int, gates, params, inputs: np.ndarray | None,
+                    ids, width: int, qubits) -> np.ndarray:
+    """(batch, len(qubits), width) shift-rule Jacobian of the Z expectations
+    of ``qubits``. Each gate i with ``ids[i]`` set is shifted by +-pi/2 on its
+    own, all shifts as blocks of one run, and its half-difference is summed
+    into column ``ids[i]``, since one angle may feed several gates."""
+    shifted = [i for i, column in enumerate(ids) if column is not None]
+    batch = 1 if inputs is None else inputs.shape[0]
+    jac = np.zeros((batch, len(qubits), width), dtype=np.float64)
+    if not shifted:
+        return jac
+    rows = np.arange(len(shifted))
+    deltas = np.zeros((2 * len(shifted), len(gates)), dtype=np.float64)
+    deltas[2 * rows, shifted] = SHIFT
+    deltas[2 * rows + 1, shifted] = -SHIFT
+    amps = run_circuit_blocks(n_qubits, gates, params=params, features=inputs,
+                              gate_deltas=deltas)
+    exp = expectations_z_batch(amps, qubits, n_qubits)
+    exp = exp.reshape(2 * len(shifted), batch, len(qubits))
+    diff = 0.5 * (exp[0::2] - exp[1::2])  # (n_shifted, batch, n_qubits)
+    for row, i in enumerate(shifted):
+        jac[:, :, ids[i]] += diff[row]
+    return jac
 
 
 def expectation_gradient(
@@ -47,80 +110,32 @@ def expectation_gradient(
     its parameters; two circuit evaluations per parameter."""
     values = np.asarray(getattr(params, "values", params), dtype=np.float64)
     feats = None if features is None else np.asarray(features, dtype=np.float64)[None, :]
-
-    def run(vals: np.ndarray) -> float:
-        amps = run_circuit_batch(n_qubits, gates, params=vals, features=feats)
-        return float(expectations_z_batch(amps, [measured_qubit], n_qubits)[0, 0])
-
-    grad = np.zeros(values.shape[0], dtype=np.float64)
-    for p in range(values.shape[0]):
-        plus = values.copy()
-        plus[p] += SHIFT
-        minus = values.copy()
-        minus[p] -= SHIFT
-        grad[p] = 0.5 * (run(plus) - run(minus))
-    return grad
+    return _shift_jacobian(n_qubits, gates, values, feats, [g.param_id for g in gates],
+                           values.shape[0], [measured_qubit])[0, 0]
 
 
 def stage_parameter_jacobian(
     model: MultiVqcModel, stage: int, inputs: np.ndarray, stage_params: np.ndarray
 ) -> np.ndarray:
     """(batch, n_measured, n_params) Jacobian of one circuit's expectations
-    w.r.t. its own parameters, inputs held fixed.
-
-    All 2*n_params shifted parameter vectors run as blocks of one batched
-    evaluation instead of separate circuit calls."""
-    n_params = stage_params.shape[0]
-    batch = inputs.shape[0]
+    w.r.t. its own parameters, inputs held fixed."""
     cfg = model.stages[stage]
-    if n_params == 0:
-        return np.zeros((batch, cfg.n_measured, 0), dtype=np.float64)
-    blocks = np.repeat(stage_params[None, :], 2 * n_params, axis=0)
-    rows = np.arange(n_params)
-    blocks[2 * rows, rows] += SHIFT
-    blocks[2 * rows + 1, rows] -= SHIFT
-    amps = run_circuit_blocks(
-        cfg.n_qubits, model.stage_gates[stage],
-        features=inputs, param_blocks=blocks,
-    )
-    exp = expectations_z_batch(amps, range(cfg.n_measured), cfg.n_qubits)
-    exp = exp.reshape(2 * n_params, batch, cfg.n_measured)
-    jac = 0.5 * (exp[0::2] - exp[1::2])  # (n_params, batch, n_measured)
-    return np.ascontiguousarray(np.transpose(jac, (1, 2, 0)))
+    gates = model.stage_gates[stage]
+    return _shift_jacobian(cfg.n_qubits, gates, stage_params, inputs,
+                           [g.param_id for g in gates], stage_params.shape[0],
+                           range(cfg.n_measured))
 
 
 def stage_input_jacobian(
     model: MultiVqcModel, stage: int, inputs: np.ndarray, stage_params: np.ndarray
 ) -> np.ndarray:
     """(batch, n_measured, n_features) Jacobian of one circuit's expectations
-    w.r.t. its input angles. Each occurrence of a feature is shifted on its
-    own and the contributions are summed, since with reuploading a feature
-    appears in several gates. All shifted runs share one blocked evaluation."""
-    batch = inputs.shape[0]
+    w.r.t. its input angles; with reuploading a feature sums over its gates."""
     cfg = model.stages[stage]
     gates = model.stage_gates[stage]
-    occurrences = [
-        (gate_index, gate.feature_id)
-        for gate_index, gate in enumerate(gates)
-        if gate.feature_id is not None
-    ]
-    jac = np.zeros((batch, cfg.n_measured, model.config.n_features), dtype=np.float64)
-    if not occurrences:
-        return jac
-    deltas = np.zeros((2 * len(occurrences), len(gates)), dtype=np.float64)
-    for row, (gate_index, _) in enumerate(occurrences):
-        deltas[2 * row, gate_index] = SHIFT
-        deltas[2 * row + 1, gate_index] = -SHIFT
-    amps = run_circuit_blocks(
-        cfg.n_qubits, gates,
-        params=stage_params, features=inputs, gate_deltas=deltas,
-    )
-    exp = expectations_z_batch(amps, range(cfg.n_measured), cfg.n_qubits)
-    exp = exp.reshape(2 * len(occurrences), batch, cfg.n_measured)
-    diff = 0.5 * (exp[0::2] - exp[1::2])  # (n_occurrences, batch, n_measured)
-    for row, (_, feature_id) in enumerate(occurrences):
-        jac[:, :, feature_id] += diff[row]
-    return jac
+    return _shift_jacobian(cfg.n_qubits, gates, stage_params, inputs,
+                           [g.feature_id for g in gates], model.config.n_features,
+                           range(cfg.n_measured))
 
 
 def score_cotangent(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -397,8 +398,12 @@ def split(dataset: Dataset, fractions: tuple[float, float, float] = (0.6, 0.2, 0
     rounding, so each split's class balance is within one sample of the
     dataset's. Every split must end up with both classes present.
     """
+    seed = check_int("split seed", seed, 0)
+    if (not isinstance(fractions, (list, tuple)) or len(fractions) != 3
+            or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in fractions)):
+        raise ConfigError(f"split fractions must be three real numbers, got {fractions!r}")
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0.0 for f in fractions):
+    if any(not 0.0 < f <= 1.0 for f in fractions):  # also rejects NaN
         raise ConfigError(f"split fractions must be three positives, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)}")

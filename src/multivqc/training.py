@@ -15,6 +15,7 @@ identical tables.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -466,8 +467,8 @@ def sweep_rows_to_json_dict(rows: list[SweepRow], base_seed: int) -> dict:
 
 def sweep_row_from_json(record: dict) -> SweepRow:
     """Rebuild a row from its ``sweep_row_to_json`` form (the rank of a
-    ``sweep.json`` row is ignored). A record that lacks a field or holds one
-    that does not convert to the field's type is a ConfigError."""
+    ``sweep.json`` row is ignored). A record that lacks a field, or that the
+    rebuilt row does not write back to exactly, is a ConfigError."""
     def opt(key, kind):
         return None if record[key] == "" else kind(record[key])
 
@@ -475,20 +476,24 @@ def sweep_row_from_json(record: dict) -> SweepRow:
         return Metrics(*(float(record[f"{prefix}_{name}"])
                          for name in ("precision", "recall", "f1")))
     try:
-        return SweepRow(
-            cell=int(record["cell"]), model=record["model"],
+        row = SweepRow(
+            cell=int(record["cell"]), model=str(record["model"]),
             features=int(record["features"]), n_vqcs=opt("n_vqcs", int),
             encoding=opt("encoding", str), ansatz=opt("ansatz", str),
             reuploading=opt("reuploading", bool), layers=opt("layers", int),
             n_params=int(record["n_params"]),
             val_loss=float("inf") if record["val_loss"] == "" else float(record["val_loss"]),
             train=metrics("train"), validation=metrics("val"), test=metrics("test"),
-            status=record["status"], error=record["error"],
-            train_curve=tuple(record["train_curve"]),
-            val_curve=tuple(record["val_curve"]),
+            status=str(record["status"]), error=str(record["error"]),
+            train_curve=tuple(map(float, record["train_curve"])),
+            val_curve=tuple(map(float, record["val_curve"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"sweep row lacks a field or has a malformed one: {exc!r}") from None
+    body = {key: value for key, value in record.items() if key != "rank"}
+    if json.dumps(sweep_row_to_json(row), sort_keys=True) != json.dumps(body, sort_keys=True):
+        raise ConfigError("sweep row does not read back to the record it came from")
+    return row
 
 
 def train_report_to_json_dict(

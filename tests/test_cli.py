@@ -158,6 +158,11 @@ class TestExitCodes:
         ["train", "--model.encoding=foo"],
         ["sweep", *FAST_SWEEP, '--sweep.max-layers="x"'],
         ["train", *FAST_TRAIN, "--model.reuploading", "False"],
+        ["train", '--split.seed="x"'],
+        ["train", "--split.seed=-1"],
+        ["train", "--split.seed=1.5"],
+        ["train", '--split.fractions="abc"'],
+        ["train", "--split.fractions=[0.6,0.2,null]"],
     ])
     def test_bad_training_settings_are_config_errors(self, out_dir, capsys, argv):
         assert main(argv) == 1

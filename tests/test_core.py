@@ -10,9 +10,9 @@ from multivqc.core import (
     expectations_z_batch,
     rotation,
     run_circuit_batch,
-    run_circuit_blocks,
 )
 from multivqc.errors import ConfigError, ModelDefinitionError
+from multivqc.gradients import run_circuit_blocks
 from multivqc.templates import VqcConfig, build_vqc
 
 import oracles
@@ -256,19 +256,6 @@ class TestBatching:
                 single = expectations_z_batch(amps[b][None], [q], cfg.n_qubits)[0, 0]
                 assert table[b, q] == pytest.approx(single, abs=1e-12)
 
-    def test_param_blocks_match_separate_runs(self):
-        rng = np.random.default_rng(22)
-        cfg, gates, params, _ = random_vqc(rng)
-        features = rng.uniform(0, np.pi, size=(4, cfg.n_qubits))
-        blocks = rng.uniform(0, 2 * np.pi, size=(6, params.shape[0]))
-        stacked = run_circuit_blocks(cfg.n_qubits, gates, features=features,
-                                     param_blocks=blocks)
-        assert stacked.shape == (24, 2**cfg.n_qubits)
-        for r in range(6):
-            ref = run_circuit_batch(cfg.n_qubits, gates, params=blocks[r],
-                                    features=features)
-            assert np.allclose(stacked[r * 4:(r + 1) * 4], ref, atol=1e-14)
-
     def test_gate_deltas_match_shifted_runs(self):
         rng = np.random.default_rng(23)
         cfg, gates, params, _ = random_vqc(rng)
@@ -293,12 +280,12 @@ class TestBatching:
                 assert np.allclose(stacked[row * 3 + b], ref, atol=1e-14)
 
     def test_block_count_mismatch_raises(self):
+        # gate_deltas needs one column per gate.
         cfg = VqcConfig(n_qubits=2)
         gates, n_params = build_vqc(cfg)
         with pytest.raises(ConfigError):
-            run_circuit_blocks(2, gates,
-                               param_blocks=np.zeros((3, n_params)),
-                               gate_deltas=np.zeros((2, len(gates))),
+            run_circuit_blocks(2, gates, params=np.zeros(n_params),
+                               gate_deltas=np.zeros((2, len(gates) - 1)),
                                features=np.zeros((1, 2)))
 
 

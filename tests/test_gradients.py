@@ -12,6 +12,7 @@ from multivqc.gradients import (
     batch_loss_gradient,
     expectation_gradient,
     score_cotangent,
+    stage_input_jacobian,
     stage_parameter_jacobian,
 )
 from multivqc.model import MultiVqcConfig, MultiVqcModel, softmax
@@ -229,6 +230,37 @@ class TestStageJacobians:
             expected = 0.5 * (stage_expectations(up) - stage_expectations(down))
             assert np.allclose(jac[:, :, p], expected, atol=1e-13)
 
+    def test_input_jacobian_matches_central_difference(self):
+        # With reuploading each input angle feeds several gates, whose shifts
+        # the Jacobian must sum.
+        rng = np.random.default_rng(66)
+        cfg = MultiVqcConfig(n_features=3, n_classes=2, n_vqcs=2, ansatz="strongly",
+                             n_layers=2, reuploading=True)
+        model = MultiVqcModel(cfg)
+        store = model.new_store(rng)
+        trace = model.forward_batch(store, rng.uniform(0.0, np.pi, size=(4, 3)))
+        h = 1e-5
+        for stage in range(2):
+            inputs = trace.stage_inputs[stage]
+            stage_params = store.slice_for(stage)
+            gates = model.stage_gates[stage]
+            stage_cfg = model.stages[stage]
+            assert sum(g.feature_id == 0 for g in gates) == 2
+            jac = stage_input_jacobian(model, stage, inputs, stage_params)
+
+            def stage_expectations(angles):
+                amps = core.run_circuit_batch(stage_cfg.n_qubits, gates,
+                                              params=stage_params, features=angles)
+                return core.expectations_z_batch(amps, range(stage_cfg.n_measured),
+                                                 stage_cfg.n_qubits)
+
+            for f in range(3):
+                step = np.zeros_like(inputs)
+                step[:, f] = h
+                expected = (stage_expectations(inputs + step)
+                            - stage_expectations(inputs - step)) / (2 * h)
+                assert np.max(np.abs(jac[:, :, f] - expected)) < 1e-8
+
 
 class TestAdjointGradient:
     def test_matches_shift_rule_reference_across_shapes(self):
@@ -276,7 +308,7 @@ class TestAdjointGradient:
         # never falls back to O(parameters) shifted circuit runs.
         rows = {"model": [], "gradients": [], "blocks": []}
         runners = {"model": core.run_circuit_batch, "gradients": core.run_circuit_batch,
-                   "blocks": core.run_circuit_blocks}
+                   "blocks": gradients.run_circuit_blocks}
 
         def counting(name):
             def wrapper(*args, **kwargs):
@@ -288,7 +320,6 @@ class TestAdjointGradient:
         monkeypatch.setattr(model_module, "run_circuit_batch", counting("model"))
         monkeypatch.setattr(gradients, "run_circuit_batch", counting("gradients"))
         monkeypatch.setattr(gradients, "run_circuit_blocks", counting("blocks"))
-        monkeypatch.setattr(core, "run_circuit_blocks", counting("blocks"))
         rng = np.random.default_rng(2011)
         model, store, X, y, weights = random_chain(rng, n_vqcs=3)
         batch_loss_gradient(model, store, X, y, weights)

@@ -409,7 +409,9 @@ class TestSweepRows:
         for key in ("cell", "error", "val_curve"):
             with pytest.raises(ConfigError):
                 sweep_row_from_json({k: v for k, v in record.items() if k != key})
-        for bad in (None, [1, 2], {**record, "layers": "x"}):
+        for bad in (None, [1, 2], {**record, "layers": "x"},
+                    {**record, "reuploading": "false"}, {**record, "reuploading": 1},
+                    {**record, "n_vqcs": 1.7}, {**record, "status": 7}):
             with pytest.raises(ConfigError):
                 sweep_row_from_json(bad)
 
