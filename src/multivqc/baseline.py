@@ -1,8 +1,9 @@
 """Class-weighted logistic regression, the classical sanity anchor.
 
-Optimized by full-batch Adam on the weighted binary cross entropy with the
-same early-stopping rules as the circuit trainer. Deterministic: parameters
-start at zero, so no RNG is involved.
+Optimized by full-batch Adam on the weighted binary cross entropy and
+stopped by the circuit trainer's one early-stopping rule,
+``training.keep_best``. Deterministic: parameters start at zero, so no RNG
+is involved.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import DataError
 from .metrics import Metrics, evaluate
 from .pipeline import SplitDataset
-from .training import Adam, ClassWeights, TrainConfig, compute_class_weights
+from .training import Adam, TrainConfig, compute_class_weights, keep_best
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,22 @@ def predict_logreg(model: LogRegModel, features: np.ndarray) -> tuple[np.ndarray
 
 
 def _loss_and_grad(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, sample_w: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    z = x @ w + b
+    theta: np.ndarray, x: np.ndarray, y: np.ndarray, sample_w: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Weighted loss and its gradient at ``theta``, the weights followed by
+    the bias."""
+    z = x @ theta[:-1] + theta[-1]
     # log sigma(z) = -logaddexp(0, -z); log(1 - sigma(z)) = -logaddexp(0, z)
     losses = sample_w * (y * np.logaddexp(0.0, -z) + (1 - y) * np.logaddexp(0.0, z))
     loss = float(losses.mean())
     dz = sample_w * (1.0 / (1.0 + np.exp(-z)) - y) / y.shape[0]
-    return loss, x.T @ dz, float(dz.sum())
+    return loss, np.append(x.T @ dz, dz.sum())
 
 
-def fit_logreg(
-    data: SplitDataset,
-    weights: ClassWeights | None = None,
-    tcfg: TrainConfig = TrainConfig(),
-) -> LogRegReport:
-    if weights is None:
-        weights = compute_class_weights(data.train.labels)
-    weight_arr = weights.as_array()
+def fit_logreg(data: SplitDataset, tcfg: TrainConfig = TrainConfig()) -> LogRegReport:
+    """Full-batch Adam from zero, weighted by the train split's class
+    weights, with ``keep_best`` early stopping on validation loss."""
+    weight_arr = compute_class_weights(data.train.labels).as_array()
     x_train = data.train.features
     y_train = data.train.labels.astype(np.float64)
     w_train = weight_arr[data.train.labels]
@@ -71,37 +70,23 @@ def fit_logreg(
     y_val = data.validation.labels.astype(np.float64)
     w_val = weight_arr[data.validation.labels]
 
-    w = np.zeros(x_train.shape[1], dtype=np.float64)
-    b = 0.0
-    adam = Adam(w.shape[0] + 1, tcfg.learning_rate)
+    initial = np.zeros(x_train.shape[1] + 1, dtype=np.float64)
+    adam = Adam(initial.shape[0], tcfg.learning_rate)
     train_losses: list[float] = []
     val_losses: list[float] = []
-    best_val = np.inf
-    best_epoch = -1
-    best = (w.copy(), b)
-    bad_streak = 0
-    stopped_early = False
-    for epoch in range(tcfg.max_epochs):
-        loss, grad_w, grad_b = _loss_and_grad(w, b, x_train, y_train, w_train)
-        packed = adam.step(np.concatenate([w, [b]]),
-                           np.concatenate([grad_w, [grad_b]]))
-        w, b = packed[:-1], float(packed[-1])
-        train_losses.append(loss)
-        val_loss, _, _ = _loss_and_grad(w, b, x_val, y_val, w_val)
-        val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best = (w.copy(), b)
-            bad_streak = 0
-        else:
-            bad_streak += 1
-            if bad_streak >= tcfg.patience:
-                stopped_early = True
-                break
-    model = LogRegModel(weights=best[0], bias=best[1])
+
+    def epochs():
+        theta = initial
+        for _ in range(tcfg.max_epochs):
+            loss, grad = _loss_and_grad(theta, x_train, y_train, w_train)
+            theta = adam.step(theta, grad)
+            train_losses.append(loss)
+            val_losses.append(_loss_and_grad(theta, x_val, y_val, w_val)[0])
+            yield val_losses[-1], theta
+
+    best_epoch, best, stopped_early = keep_best(epochs(), tcfg.patience, initial)
     return LogRegReport(
-        model=model,
+        model=LogRegModel(weights=best[:-1], bias=float(best[-1])),
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
         best_epoch=best_epoch,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -29,8 +30,9 @@ from .errors import (
     PipelineStateError,
     check_enum,
     check_int,
+    check_str,
 )
-from .metrics import Metrics, evaluate
+from .metrics import evaluate
 from .model import (
     MultiVqcConfig,
     MultiVqcModel,
@@ -165,34 +167,32 @@ def load_run_config(config_path: str | None, override_tokens: list[str]) -> dict
         if not isinstance(file_config, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         config = _deep_merge(config, file_config)
-    overrides = parse_overrides(override_tokens)
-    return _deep_merge(config, overrides)
+    config = _deep_merge(config, parse_overrides(override_tokens))
+    check_str("output_dir", config["output_dir"])
+    return config
 
 
 def _output_dir(config: dict) -> Path:
-    out = os.environ.get(OUTPUT_DIR_ENV) or config["output_dir"]
-    path = Path(out)
+    path = Path(os.environ.get(OUTPUT_DIR_ENV) or config["output_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _angle_range(config: dict) -> tuple[float, float]:
-    name = config["angle_range"]
-    if isinstance(name, (list, tuple)) and len(name) == 2:
-        try:
-            return float(name[0]), float(name[1])
-        except (TypeError, ValueError):
-            raise ConfigError(f"angle_range bounds must be numbers, got {name}") from None
-    if name not in ANGLE_RANGES:
-        raise ConfigError(
-            f"angle_range must be one of {sorted(ANGLE_RANGES)} or a [low, high] pair"
-        )
-    return ANGLE_RANGES[name]
+    value = config["angle_range"]
+    if isinstance(value, str) and value in ANGLE_RANGES:
+        return ANGLE_RANGES[value]
+    if (isinstance(value, list) and len(value) == 2
+            and not any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value)
+            and all(abs(v) <= sys.float_info.max for v in value)):  # finite, fits a float
+        return float(value[0]), float(value[1])
+    raise ConfigError(f"angle_range must be one of {sorted(ANGLE_RANGES)} or a "
+                      f"[low, high] pair of finite numbers, got {value!r}")
 
 
 def _load_raw_dataset(config: dict) -> tuple[Dataset, str, str]:
     """Returns (dataset, source description, resolved path)."""
-    name_or_path = config["dataset"]
+    name_or_path = check_str("dataset", config["dataset"])
     if name_or_path in DATASET_NAMES:
         resolved = resolve_dataset(name_or_path)
         dataset = load_csv(str(resolved.csv_path), resolved.schema)
@@ -202,7 +202,7 @@ def _load_raw_dataset(config: dict) -> tuple[Dataset, str, str]:
             f"dataset {name_or_path!r} is not a built-in name "
             f"({', '.join(DATASET_NAMES)}); loading a CSV path needs 'schema'"
         )
-    schema = load_schema(config["schema"])
+    schema = load_schema(check_str("schema", config["schema"]))
     return load_csv(name_or_path, schema), "external", name_or_path
 
 
@@ -261,12 +261,6 @@ METRICS_CSV_COLUMNS = ("dataset", "n_components", "split_seed", "train_seed",
                        "split", "precision", "recall", "f1")
 
 
-def _model_split_metrics(model: MultiVqcModel, store, data: SplitDataset) -> list[Metrics]:
-    """Train, validation and test metrics of a trained model."""
-    return [evaluate(model.predict_batch(store, part.features), part.labels)
-            for part in (data.train, data.validation, data.test)]
-
-
 def _metrics_records(config: dict, dataset_name: str,
                      split_metrics) -> list[dict]:
     """Rows of a metrics CSV, from train, validation and test metrics."""
@@ -312,25 +306,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     raw_split, source, path = _load_split(config)
     encoded, pipe = _encode_splits(raw_split, config["n_components"],
                                    _angle_range(config))
-    weights = compute_class_weights(encoded.train.labels)
-    report = train(model_cfg, encoded, tcfg, weights)
+    report = train(model_cfg, encoded, tcfg)
     out = _output_dir(config)
     _write_json(out / "resolved_config.json",
                 _resolved_config_payload(config, source, path))
     save_model(str(out / "model.json"), model_cfg, report.final_params)
     _write_json(out / "pipeline.json", pipe.to_json_dict())
-    _write_json(out / "train_report.json",
-                train_report_to_json_dict(report, model_cfg, tcfg, weights))
-    split_metrics = _model_split_metrics(MultiVqcModel(model_cfg),
-                                         report.final_params, encoded)
-    _write_csv(out / "metrics.csv", METRICS_CSV_COLUMNS,
-               _metrics_records(config, raw_split.train.name, split_metrics))
+    _write_json(out / "train_report.json", train_report_to_json_dict(
+        report, model_cfg, tcfg, compute_class_weights(encoded.train.labels)))
     best = report.epochs[report.best_epoch]
+    test_metrics = evaluate(
+        MultiVqcModel(model_cfg).predict_batch(report.final_params, encoded.test.features),
+        encoded.test.labels)
+    _write_csv(out / "metrics.csv", METRICS_CSV_COLUMNS, _metrics_records(
+        config, raw_split.train.name,
+        (best.train_metrics, best.val_metrics, test_metrics)))
     print(f"trained {model_cfg.n_vqcs} circuit(s) x {model_cfg.n_layers} layer(s): "
           f"best epoch {report.best_epoch}, val loss {best.val_loss:.6f}, "
           f"val F1 {best.val_metrics.f1:.4f}"
           f"{' (stopped early)' if report.stopped_early else ''}")
-    test_metrics = split_metrics[2]
     print(f"test: precision {test_metrics.precision:.4f}, "
           f"recall {test_metrics.recall:.4f}, f1 {test_metrics.f1:.4f}")
     print(f"artifacts in {out}")
@@ -355,7 +349,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     raw_split, _, _ = _load_split(config)
     pipe = Pipeline.from_json_dict(read_json(run_dir / "pipeline.json", "pipeline file"))
     model, store = load_model(str(run_dir / "model.json"))
-    split_metrics = _model_split_metrics(model, store, _encode_with(pipe, raw_split))
+    data = _encode_with(pipe, raw_split)
+    split_metrics = [evaluate(model.predict_batch(store, part.features), part.labels)
+                     for part in (data.train, data.validation, data.test)]
     records = _metrics_records(config, raw_split.train.name, split_metrics)
     _write_csv(run_dir / "eval_metrics.csv", METRICS_CSV_COLUMNS, records)
     for record in records:
@@ -410,10 +406,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"sweep.include_baseline must be a boolean, got {include_baseline!r}")
     tcfg = TrainConfig(**config["train"])
     rescale = check_enum("model.rescale", Rescale, config["model"]["rescale"])
-    raw_split, _, _ = _load_split(config)
-    angle_range = _angle_range(config)
-    datasets_by_width = {k: _encode_splits(raw_split, k, angle_range)[0]
-                         for k in feature_counts}
     grid = build_grid(feature_counts, vqc_counts)
     # Every row of the table by cell index, as (model, features, n_vqcs, encoding,
     # ansatz, reuploading): the grid cells, then a logistic baseline per width.
@@ -423,6 +415,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if include_baseline:
         expected.update((len(grid) + offset, ("logreg", k, None, None, None, None))
                         for offset, k in enumerate(feature_counts))
+    if not expected:
+        raise ConfigError("the sweep has no rows to run: sweep.feature_counts is empty, "
+                          "or sweep.vqc_counts is empty and include_baseline is false")
+    raw_split, _, _ = _load_split(config)
+    angle_range = _angle_range(config)
+    datasets_by_width = {k: _encode_splits(raw_split, k, angle_range)[0]
+                         for k in feature_counts}
 
     out = _output_dir(config)
     cells_dir = out / "cells"

@@ -40,6 +40,13 @@ def check_int(name: str, value, low: int, high: float = float("inf")) -> int:
     return value
 
 
+def check_str(name: str, value) -> str:
+    """``value`` if it is a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def check_enum(name: str, enum_type, value):
     """``value`` as a member of ``enum_type``."""
     try:

@@ -402,9 +402,9 @@ def split(dataset: Dataset, fractions: tuple[float, float, float] = (0.6, 0.2, 0
     if (not isinstance(fractions, (list, tuple)) or len(fractions) != 3
             or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in fractions)):
         raise ConfigError(f"split fractions must be three real numbers, got {fractions!r}")
-    fractions = tuple(float(f) for f in fractions)
-    if any(not 0.0 < f <= 1.0 for f in fractions):  # also rejects NaN
+    if any(not 0.0 < f <= 1.0 for f in fractions):  # also rejects NaN and huge ints
         raise ConfigError(f"split fractions must be three positives, got {fractions}")
+    fractions = tuple(float(f) for f in fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)}")
     labels = dataset.labels

@@ -2,9 +2,13 @@
 
 Class imbalance is handled by weighting each sample's cross-entropy term
 with the opposite class's prevalence, so both classes contribute equal
-total mass. Optimization is Adam over shuffled mini-batches with early
-stopping on validation loss (strict improvement, fixed patience), always
-returning the best-validation-epoch parameters.
+total mass. Optimization is Adam over shuffled mini-batches.
+
+One stopping rule, ``keep_best``, serves every loop that picks a best round
+by validation loss: training epochs, layer counts, and the logistic
+baseline's epochs. It keeps the first strict minimum and stops after a
+fixed number of rounds in a row without improvement. Training stops after
+``patience`` such epochs and returns the best epoch's parameters.
 
 Layer search retrains from scratch at increasing layer counts and stops
 once the validation loss has not improved for as many consecutive counts
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -36,8 +42,6 @@ from .params import ParamStore
 from .pipeline import SplitDataset
 from .templates import Ansatz, Encoding
 
-MAX_LAYERS_DEFAULT = 20
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -53,8 +57,9 @@ class TrainConfig:
         check_int("batch_size", self.batch_size, 1)
         check_int("seed", self.seed, 0)
         rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not rate > 0.0:
-            raise ConfigError(f"learning_rate must be a number > 0, got {rate!r}")
+        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                or not 0.0 < rate <= sys.float_info.max):
+            raise ConfigError(f"learning_rate must be a finite number > 0, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -101,26 +106,43 @@ def compute_class_weights(labels: np.ndarray) -> ClassWeights:
     return ClassWeights(weight_class0=weight0, weight_class1=weight1)
 
 
-class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+def keep_best(
+    rounds: Iterable[tuple[float, object]], patience: int, initial: object,
+) -> tuple[int, object, bool]:
+    """The one early-stopping rule: read (validation loss, snapshot) rounds
+    and keep the first strict minimum. After ``patience`` rounds in a row
+    without improvement, stop drawing rounds. Returns (best index, best
+    snapshot, stopped early); (-1, ``initial``, ...) if no round improves on
+    infinity, e.g. when every loss is NaN."""
+    best_index, best, best_loss, streak = -1, initial, math.inf, 0
+    for index, (loss, snapshot) in enumerate(rounds):
+        if loss < best_loss:
+            best_index, best, best_loss, streak = index, snapshot, loss, 0
+        else:
+            streak += 1
+            if streak >= patience:
+                return best_index, best, True
+    return best_index, best, False
 
-    def __init__(self, n_params: int, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction and the usual constants."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, n_params: int, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(n_params, dtype=np.float64)
         self.v = np.zeros(n_params, dtype=np.float64)
 
     def step(self, values: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return values - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1 ** self.t)
+        v_hat = self.v / (1.0 - self.BETA2 ** self.t)
+        return values - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass(frozen=True)
@@ -154,26 +176,18 @@ def _evaluate_split(
     return loss, evaluate(predictions, labels)
 
 
-def train(
-    config: MultiVqcConfig,
-    data: SplitDataset,
-    tcfg: TrainConfig,
-    weights: ClassWeights | None = None,
-) -> TrainReport:
-    """Adam over shuffled mini-batches with early stopping on validation loss.
-
-    Improvement is strict; after `patience` consecutive non-improving epochs
-    training stops and the best epoch's parameters are returned. Fully
-    reproducible from tcfg.seed. Class weights default to the train split's.
+def train(config: MultiVqcConfig, data: SplitDataset, tcfg: TrainConfig) -> TrainReport:
+    """Adam over shuffled mini-batches, weighted by the train split's class
+    weights, with ``keep_best`` early stopping on validation loss: after
+    `patience` consecutive non-improving epochs training stops and the best
+    epoch's parameters are returned. Fully reproducible from tcfg.seed.
     """
     if data.train.n_features != config.n_features:
         raise DataError(
             f"model expects {config.n_features} features, split has "
             f"{data.train.n_features}"
         )
-    if weights is None:
-        weights = compute_class_weights(data.train.labels)
-    weight_arr = weights.as_array()
+    weight_arr = compute_class_weights(data.train.labels).as_array()
     model = MultiVqcModel(config)
     rng = np.random.default_rng(tcfg.seed)
     store = model.new_store(rng)
@@ -182,45 +196,37 @@ def train(
     x_train, y_train = data.train.features, data.train.labels
     n_train = x_train.shape[0]
     records: list[EpochRecord] = []
-    best_val = np.inf
-    best_epoch = -1
-    best_values = store.values.copy()
-    bad_streak = 0
-    stopped_early = False
-    for epoch in range(tcfg.max_epochs):
-        order = rng.permutation(n_train)
-        for batch_no, start in enumerate(range(0, n_train, tcfg.batch_size)):
-            idx = order[start:start + tcfg.batch_size]
-            try:
-                loss, grad = batch_loss_gradient(
-                    model, store, x_train[idx], y_train[idx], weight_arr)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"epoch {epoch}, batch {batch_no}, parameter norm "
-                    f"{np.linalg.norm(store.values):.6g}: {exc}"
-                ) from exc
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}, "
-                    f"parameter norm {np.linalg.norm(store.values):.6g}"
-                )
-            store.values = adam.step(store.values, grad)
-        train_loss, train_metrics = _evaluate_split(
-            model, store, x_train, y_train, weight_arr)
-        val_loss, val_metrics = _evaluate_split(
-            model, store, data.validation.features, data.validation.labels, weight_arr)
-        records.append(EpochRecord(epoch, train_loss, val_loss,
-                                   train_metrics, val_metrics))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_values = store.values.copy()
-            bad_streak = 0
-        else:
-            bad_streak += 1
-            if bad_streak >= tcfg.patience:
-                stopped_early = True
-                break
+
+    def epochs():
+        for epoch in range(tcfg.max_epochs):
+            order = rng.permutation(n_train)
+            for batch_no, start in enumerate(range(0, n_train, tcfg.batch_size)):
+                idx = order[start:start + tcfg.batch_size]
+                try:
+                    loss, grad = batch_loss_gradient(
+                        model, store, x_train[idx], y_train[idx], weight_arr)
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"epoch {epoch}, batch {batch_no}, parameter norm "
+                        f"{np.linalg.norm(store.values):.6g}: {exc}"
+                    ) from exc
+                if not np.isfinite(loss):
+                    raise NumericalError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_no}, "
+                        f"parameter norm {np.linalg.norm(store.values):.6g}"
+                    )
+                store.values = adam.step(store.values, grad)
+            train_loss, train_metrics = _evaluate_split(
+                model, store, x_train, y_train, weight_arr)
+            val_loss, val_metrics = _evaluate_split(
+                model, store, data.validation.features, data.validation.labels, weight_arr)
+            records.append(EpochRecord(epoch, train_loss, val_loss,
+                                       train_metrics, val_metrics))
+            # Adam.step returns a new vector, so this one is a snapshot.
+            yield val_loss, store.values
+
+    best_epoch, best_values, stopped_early = keep_best(
+        epochs(), tcfg.patience, store.values)
     return TrainReport(
         epochs=tuple(records),
         best_epoch=best_epoch,
@@ -242,43 +248,28 @@ def select_layers(
     base_config: MultiVqcConfig,
     data: SplitDataset,
     tcfg: TrainConfig,
-    weights: ClassWeights | None = None,
-    max_layers: int = MAX_LAYERS_DEFAULT,
+    *,
+    max_layers: int,
 ) -> LayerSearchReport:
     """Try L = 1, 2, 3, ... with a fresh training run each (no warm start);
     stop once the best validation loss has gone unimproved for as many
     consecutive counts as there are qubits. One shared L applies to every
     circuit in the chain."""
     stall_limit = base_config.n_features
-    tried: list[int] = []
-    losses: list[float] = []
-    best_loss = np.inf
-    best_layers = 0
-    best_report: TrainReport | None = None
-    stall = 0
-    stop_reason = f"layer cap {max_layers} reached"
-    for layers in range(1, max_layers + 1):
-        report = train(replace(base_config, n_layers=layers), data, tcfg, weights)
-        tried.append(layers)
-        losses.append(report.best_val_loss)
-        if report.best_val_loss < best_loss:
-            best_loss = report.best_val_loss
-            best_layers = layers
-            best_report = report
-            stall = 0
-        else:
-            stall += 1
-            if stall >= stall_limit:
-                stop_reason = (
-                    f"validation loss unimproved for {stall_limit} "
-                    "consecutive layer counts"
-                )
-                break
+    reports: list[TrainReport] = []
+
+    def layer_counts():
+        for layers in range(1, max_layers + 1):
+            reports.append(train(replace(base_config, n_layers=layers), data, tcfg))
+            yield reports[-1].best_val_loss, reports[-1]
+
+    best_index, best_report, stalled = keep_best(layer_counts(), stall_limit, None)
     return LayerSearchReport(
-        tried_layer_counts=tuple(tried),
-        validation_losses=tuple(losses),
-        chosen_layers=best_layers,
-        stop_reason=stop_reason,
+        tried_layer_counts=tuple(range(1, len(reports) + 1)),
+        validation_losses=tuple(report.best_val_loss for report in reports),
+        chosen_layers=best_index + 1,
+        stop_reason=(f"validation loss unimproved for {stall_limit} consecutive layer counts"
+                     if stalled else f"layer cap {max_layers} reached"),
         best_report=best_report,
     )
 
@@ -344,11 +335,13 @@ def run_cell(
     data: SplitDataset,
     tcfg: TrainConfig,
     rescale: Rescale = Rescale.PI,
-    max_layers: int = MAX_LAYERS_DEFAULT,
+    *,
+    max_layers: int,
 ) -> SweepRow:
-    """Layer search plus final evaluation for one grid cell. Failures are
-    captured in the row instead of propagating, so one bad cell cannot
-    bring down a sweep."""
+    """Layer search plus final evaluation for one grid cell. The train and
+    validation metrics are the best epoch's; only the test split is scored
+    anew. Failures are captured in the row instead of propagating, so one
+    bad cell cannot bring down a sweep."""
     seeded = replace(tcfg, seed=cell_seed(tcfg.seed, cell.index))
     try:
         base = MultiVqcConfig(
@@ -357,23 +350,21 @@ def run_cell(
             reuploading=cell.reuploading, rescale=rescale,
         )
         search = select_layers(base, data, seeded, max_layers=max_layers)
-        config = replace(base, n_layers=search.chosen_layers)
-        model = MultiVqcModel(config)
-        store = search.best_report.final_params
-        split_metrics = []
-        for part in (data.train, data.validation, data.test):
-            predictions = model.predict_batch(store, part.features)
-            split_metrics.append(evaluate(predictions, part.labels))
+        report = search.best_report
+        model = MultiVqcModel(replace(base, n_layers=search.chosen_layers))
+        store = report.final_params
+        best = report.epochs[report.best_epoch]
         return SweepRow(
             cell=cell.index, model="multivqc", features=cell.features,
             n_vqcs=cell.n_vqcs, encoding=cell.encoding.value,
             ansatz=cell.ansatz.value, reuploading=cell.reuploading,
             layers=search.chosen_layers, n_params=store.total,
-            val_loss=search.best_report.best_val_loss,
-            train=split_metrics[0], validation=split_metrics[1],
-            test=split_metrics[2], status="ok",
-            train_curve=tuple(r.train_loss for r in search.best_report.epochs),
-            val_curve=tuple(r.val_loss for r in search.best_report.epochs),
+            val_loss=report.best_val_loss,
+            train=best.train_metrics, validation=best.val_metrics,
+            test=evaluate(model.predict_batch(store, data.test.features), data.test.labels),
+            status="ok",
+            train_curve=tuple(r.train_loss for r in report.epochs),
+            val_curve=tuple(r.val_loss for r in report.epochs),
         )
     except (MultiVqcError, ValueError, FloatingPointError) as exc:
         return SweepRow(
@@ -387,7 +378,8 @@ def run_cell(
 
 
 def _run_cell_payload(payload: tuple) -> SweepRow:
-    return run_cell(*payload)
+    *args, max_layers = payload
+    return run_cell(*args, max_layers=max_layers)
 
 
 def run_cells(
@@ -395,7 +387,8 @@ def run_cells(
     datasets_by_width: dict[int, SplitDataset],
     tcfg: TrainConfig,
     rescale: Rescale = Rescale.PI,
-    max_layers: int = MAX_LAYERS_DEFAULT,
+    *,
+    max_layers: int,
     max_workers: int = 1,
 ) -> list[SweepRow]:
     """Run grid cells serially or on a process pool; the result list is in

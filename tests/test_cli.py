@@ -14,6 +14,8 @@ from multivqc.cli import (
 )
 from multivqc.errors import ConfigError
 
+BUNDLED = Path(cli.__file__).parent / "bundled"
+
 FAST_TRAIN = [
     "--n-components=2",
     "--train.max-epochs=3",
@@ -152,6 +154,8 @@ class TestExitCodes:
         ["train", "--train.max-epochs=0"],
         ["sweep", *FAST_SWEEP, "--train.patience=0"],
         ["baseline", "--train.batch-size=0"],
+        ["train", "--train.learning-rate=1e400"],
+        ["baseline", f"--train.learning-rate={10 ** 400}"],
         ["train", *FAST_TRAIN, '--angle-range=[1, "x"]'],
         ["train", '--train.max-epochs="x"'],
         ["train", '--n-components="3"'],
@@ -163,6 +167,16 @@ class TestExitCodes:
         ["train", "--split.seed=1.5"],
         ["train", '--split.fractions="abc"'],
         ["train", "--split.fractions=[0.6,0.2,null]"],
+        ["train", *FAST_TRAIN, "--angle-range=[1,2,3]"],
+        ["train", *FAST_TRAIN, '--angle-range={"a":1}'],
+        ["train", *FAST_TRAIN, "--angle-range=[0,1e309]"],
+        ["train", *FAST_TRAIN, f"--angle-range=[0,{10 ** 400}]"],
+        ["train", f"--split.fractions=[0.6,0.2,{10 ** 400}]"],
+        ["train", *FAST_TRAIN, "--output-dir=5"],
+        ["train", "--dataset=x.csv", "--schema=5"],
+        ["train", "--dataset=5", f"--schema={BUNDLED / 'prostate.schema.json'}"],
+        ["sweep", "--sweep.feature-counts=[]"],
+        ["sweep", "--sweep.vqc-counts=[]", "--sweep.include-baseline=false"],
     ])
     def test_bad_training_settings_are_config_errors(self, out_dir, capsys, argv):
         assert main(argv) == 1

@@ -1,7 +1,9 @@
-"""Every name a ``multivqc`` module imports is used by that module.
+"""Every name a ``multivqc`` module imports is used by that module, and
+every name it defines at top level is used somewhere.
 
 An import kept only so that other code can look the name up on the module
-hides dead code. ``__init__.py`` exists to re-export names and is exempt.
+hides dead code, and so does a function, class or constant that nothing
+reads. ``__init__.py`` exists to re-export names and is exempt.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "multivqc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "multivqc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,3 +38,47 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def top_level_names(source: str) -> set[str]:
+    """Functions, classes and constants a module defines at top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, attributes, and strings (a string can name a function to
+    look up, as the benchmark tracer's site table does)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_dead_name_checker_sees_names_attributes_and_strings():
+    source = ("LIMIT = 3\nUNUSED = 4\ndef f():\n    return LIMIT\n"
+              "class K:\n    pass\n")
+    assert top_level_names(source) == {"LIMIT", "UNUSED", "f", "K"}
+    refs = referenced_names("import m\nm.f()\nx = 'K'\n")
+    assert top_level_names(source) - referenced_names(source) - refs == {"UNUSED"}
+
+
+def test_every_top_level_name_is_referenced():
+    refs = set()
+    for folder in ("src", "tests", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            refs |= referenced_names(path.read_text(encoding="utf-8"))
+    dead = {f"{path.stem}.{name}" for path in MODULES
+            for name in top_level_names(path.read_text(encoding="utf-8")) - refs}
+    assert sorted(dead) == []

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multivqc.errors import ConfigError, DataError
-from multivqc.metrics import Metrics
-from multivqc.model import MultiVqcConfig, Rescale, nll_from_scores
+from multivqc.metrics import Metrics, evaluate
+from multivqc.model import MultiVqcConfig, MultiVqcModel, Rescale, nll_from_scores
 from multivqc.pipeline import Dataset, split
 from multivqc.templates import Ansatz, Encoding
 from multivqc.training import (
@@ -18,6 +19,7 @@ from multivqc.training import (
     build_grid,
     cell_seed,
     compute_class_weights,
+    keep_best,
     rank_rows,
     run_cell,
     run_cells,
@@ -159,6 +161,40 @@ class TestAdam:
         assert abs(x[0] - 3.0) < 0.05
 
 
+def _rounds(losses, stops):
+    """(loss, snapshot) rounds whose snapshot is the round's index. If the
+    rule is to stop at the last loss, drawing one more round fails."""
+    for index, loss in enumerate(losses):
+        yield loss, index
+    if stops:
+        raise AssertionError("keep_best drew a round after it should have stopped")
+
+
+NAN = float("nan")
+
+
+class TestKeepBest:
+    @pytest.mark.parametrize("losses, patience, expected", [
+        # A tie is not an improvement and does not reset the streak.
+        ([3.0, 2.0, 2.0, 2.0], 2, (1, 1, True)),
+        # An improvement resets the streak.
+        ([3.0, 2.0, 2.0, 1.0, 5.0], 2, (3, 3, False)),
+        # The first of equal minima wins.
+        ([2.0, 1.0, 4.0, 1.0, 5.0], 9, (1, 1, False)),
+        # Stops exactly after `patience` bad rounds; nothing past them is drawn.
+        ([1.0, 2.0, 3.0], 2, (0, 0, True)),
+        ([5.0, 1.0, 2.0, 0.5, 0.7, 0.6, 0.9], 3, (3, 3, True)),
+        ([1.0, NAN, NAN], 2, (0, 0, True)),
+        # No round improves on infinity: the initial snapshot comes back.
+        ([NAN, NAN, NAN], 5, (-1, "initial", False)),
+        ([], 1, (-1, "initial", False)),
+        # A stall that ends on the last round still reports stopped.
+        ([1.0, 1.5, 1.2], 2, (0, 0, True)),
+    ])
+    def test_rule(self, losses, patience, expected):
+        assert keep_best(_rounds(losses, expected[2]), patience, "initial") == expected
+
+
 class TestTrain:
     def test_learns_separable_angles(self):
         parts = angle_split()
@@ -215,16 +251,6 @@ class TestTrain:
                            batch_size=16, seed=2)
         report = train(toy_config(), parts, tcfg)
         assert [r.epoch for r in report.epochs] == list(range(len(report.epochs)))
-
-    def test_explicit_weights_match_default(self):
-        parts = angle_split()
-        tcfg = TrainConfig(max_epochs=3, patience=10, learning_rate=0.1,
-                           batch_size=16, seed=5)
-        default = train(toy_config(), parts, tcfg)
-        explicit = train(toy_config(), parts, tcfg,
-                         weights=compute_class_weights(parts.train.labels))
-        assert np.array_equal(default.final_params.values,
-                              explicit.final_params.values)
 
     def test_feature_width_mismatch_rejected(self):
         parts = angle_split()
@@ -337,6 +363,12 @@ class TestSweepRows:
         assert np.isfinite(row.val_loss)
         assert len(row.val_curve) >= 1
         assert 0.0 <= row.validation.f1 <= 1.0
+        model = MultiVqcModel(toy_config(layers=row.layers))
+        store = select_layers(toy_config(), parts, replace(tcfg, seed=cell_seed(tcfg.seed, cell.index)),
+                              max_layers=2).best_report.final_params
+        assert (row.train, row.validation) == tuple(
+            evaluate(model.predict_batch(store, part.features), part.labels)
+            for part in (parts.train, parts.validation))
 
     def test_run_cell_failure_captured_in_row(self):
         parts = angle_split(n=60)
@@ -429,7 +461,7 @@ class TestTrainReportJson:
                            batch_size=12, seed=4)
         config = toy_config()
         weights = compute_class_weights(parts.train.labels)
-        report = train(config, parts, tcfg, weights)
+        report = train(config, parts, tcfg)
         payload = json.loads(json.dumps(
             train_report_to_json_dict(report, config, tcfg, weights)))
         assert payload["format"] == "multivqc-train-report/1"
