@@ -46,15 +46,22 @@ def predict_logreg(model: LogRegModel, features: np.ndarray) -> tuple[np.ndarray
     return (probs >= 0.5).astype(np.int64), probs
 
 
-def _loss_and_grad(
+def _loss(
     theta: np.ndarray, x: np.ndarray, y: np.ndarray, sample_w: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Weighted loss and its gradient at ``theta``, the weights followed by
-    the bias."""
+    """Weighted loss at ``theta``, the weights followed by the bias, and the
+    logits it was computed from."""
     z = x @ theta[:-1] + theta[-1]
     # log sigma(z) = -logaddexp(0, -z); log(1 - sigma(z)) = -logaddexp(0, z)
     losses = sample_w * (y * np.logaddexp(0.0, -z) + (1 - y) * np.logaddexp(0.0, z))
-    loss = float(losses.mean())
+    return float(losses.mean()), z
+
+
+def _loss_and_grad(
+    theta: np.ndarray, x: np.ndarray, y: np.ndarray, sample_w: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Weighted loss and its gradient at ``theta``."""
+    loss, z = _loss(theta, x, y, sample_w)
     dz = sample_w * (1.0 / (1.0 + np.exp(-z)) - y) / y.shape[0]
     return loss, np.append(x.T @ dz, dz.sum())
 
@@ -81,7 +88,7 @@ def fit_logreg(data: SplitDataset, tcfg: TrainConfig = TrainConfig()) -> LogRegR
             loss, grad = _loss_and_grad(theta, x_train, y_train, w_train)
             theta = adam.step(theta, grad)
             train_losses.append(loss)
-            val_losses.append(_loss_and_grad(theta, x_val, y_val, w_val)[0])
+            val_losses.append(_loss(theta, x_val, y_val, w_val)[0])
             yield val_losses[-1], theta
 
     best_epoch, best, stopped_early = keep_best(epochs(), tcfg.patience, initial)

@@ -96,10 +96,33 @@ def read_json(path, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+PROFILE_KEYS = ("expected_rows", "expected_features", "expected_class1")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_schema(path: str) -> dict:
+    """Read a dataset schema file, type-checking every key ``load_csv`` reads."""
     schema = read_json(path, "schema file")
     if not isinstance(schema, dict) or "name" not in schema or "label_column" not in schema:
         raise ConfigError(f"schema file {path} needs 'name' and 'label_column'")
+    mapping = schema.get("label_mapping", {})
+    drop = schema.get("drop_columns", [])
+    checks = [
+        ("name", "a string", isinstance(schema["name"], str)),
+        ("label_column", "a string", isinstance(schema["label_column"], str)),
+        ("label_mapping", "an object mapping labels to integers",
+         isinstance(mapping, dict) and all(_is_int(v) for v in mapping.values())),
+        ("drop_columns", "a list of strings",
+         isinstance(drop, list) and all(isinstance(c, str) for c in drop)),
+        *((key, "an integer", _is_int(schema.get(key, 0))) for key in PROFILE_KEYS),
+    ]
+    for key, what, ok in checks:
+        if not ok:
+            raise ConfigError(
+                f"schema file {path}: {key!r} must be {what}, got {schema[key]!r}")
     return schema
 
 
@@ -164,21 +187,13 @@ def load_csv(path: str, schema: dict) -> Dataset:
 
 
 def _check_profile(dataset: Dataset, schema: dict, path: str) -> None:
-    expected_rows = schema.get("expected_rows")
-    if expected_rows is not None and dataset.n_samples != expected_rows:
-        warnings.warn(
-            f"{path}: {dataset.n_samples} rows, expected {expected_rows} "
-            f"for {dataset.name!r}", stacklevel=3)
-    expected_features = schema.get("expected_features")
-    if expected_features is not None and dataset.n_features != expected_features:
-        warnings.warn(
-            f"{path}: {dataset.n_features} feature columns, expected "
-            f"{expected_features} for {dataset.name!r}", stacklevel=3)
-    expected_class1 = schema.get("expected_class1")
-    if expected_class1 is not None and dataset.class_counts()[1] != expected_class1:
-        warnings.warn(
-            f"{path}: {dataset.class_counts()[1]} positive labels, expected "
-            f"{expected_class1} for {dataset.name!r}", stacklevel=3)
+    observed = (dataset.n_samples, dataset.n_features, dataset.class_counts()[1])
+    what = ("rows", "feature columns", "positive labels")
+    for key, count, noun in zip(PROFILE_KEYS, observed, what):
+        expected = schema.get(key)
+        if expected is not None and count != expected:
+            warnings.warn(f"{path}: {count} {noun}, expected {expected} "
+                          f"for {dataset.name!r}", stacklevel=3)
 
 
 class MinMaxScaler:

@@ -14,7 +14,7 @@ import numpy as np
 
 from multivqc.cli import OUTPUT_DIR_ENV, main
 from multivqc.core import run_circuit_batch
-from multivqc.datasets import DATASET_NAMES, load_dataset
+from multivqc.datasets import DATASET_NAMES, resolve_dataset
 from multivqc.gradients import batch_loss, batch_loss_gradient
 from multivqc.metrics import evaluate
 from multivqc.model import MultiVqcConfig, MultiVqcModel, Rescale
@@ -25,6 +25,7 @@ from multivqc.pipeline import (
     MinMaxScaler,
     Pipeline,
     explained_variance_table,
+    load_csv,
     split,
 )
 from multivqc.templates import VqcConfig, build_vqc
@@ -36,6 +37,11 @@ import oracles
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def load_dataset(name: str):
+    resolved = resolve_dataset(name)
+    return load_csv(str(resolved.csv_path), resolved.schema), resolved.source
 
 
 def test_criterion_1_simulator_matches_dense_oracle():

@@ -23,6 +23,15 @@ FAST_TRAIN = [
     "--train.learning-rate=0.1",
 ]
 
+# Its best epoch (3 of 0-5) is neither the first nor the last.
+MIDDLE_BEST_TRAIN = [
+    "--dataset=diabetes",
+    "--model.n-vqcs=2",
+    "--model.ansatz=strongly",
+    "--train.patience=2",
+    "--train.learning-rate=0.1",
+]
+
 FAST_SWEEP = [
     "--sweep.feature-counts=[2]",
     "--sweep.vqc-counts=[1]",
@@ -39,6 +48,19 @@ def out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
     monkeypatch.delenv("MULTIVQC_DATA_DIR", raising=False)
     return target
+
+
+def _prostate_schema_with(**edits) -> list:
+    """pca-report argv on the bundled prostate CSV, ending in the ``edits``
+    that ``_write_prostate_schema`` turns into a schema path."""
+    return ["pca-report", f"--dataset={BUNDLED / 'prostate.csv'}", "--schema", edits]
+
+
+def _write_prostate_schema(tmp_path, edits: dict) -> str:
+    schema = json.loads((BUNDLED / "prostate.schema.json").read_text()) | edits
+    path = tmp_path / "edited.schema.json"
+    path.write_text(json.dumps(schema), encoding="utf-8")
+    return str(path)
 
 
 class TestOverrideParsing:
@@ -177,10 +199,28 @@ class TestExitCodes:
         ["train", "--dataset=5", f"--schema={BUNDLED / 'prostate.schema.json'}"],
         ["sweep", "--sweep.feature-counts=[]"],
         ["sweep", "--sweep.vqc-counts=[]", "--sweep.include-baseline=false"],
+        _prostate_schema_with(label_mapping={"M": "x", "B": 0}),
+        _prostate_schema_with(label_mapping={"M": True, "B": 0}),
+        _prostate_schema_with(label_mapping=["M"]),
+        _prostate_schema_with(label_mapping=None),
+        _prostate_schema_with(drop_columns=5),
+        _prostate_schema_with(drop_columns=["id", 3]),
+        _prostate_schema_with(name=5),
+        _prostate_schema_with(label_column=["diagnosis_result"]),
+        _prostate_schema_with(expected_rows="100"),
+        _prostate_schema_with(expected_features=8.0),
+        _prostate_schema_with(expected_class1=True),
     ])
-    def test_bad_training_settings_are_config_errors(self, out_dir, capsys, argv):
+    def test_bad_training_settings_are_config_errors(self, out_dir, tmp_path, capsys, argv):
+        if isinstance(argv[-1], dict):
+            argv = [*argv[:-1], _write_prostate_schema(tmp_path, argv[-1])]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_schema_label_outside_0_1_is_data_error(self, out_dir, tmp_path):
+        schema = _write_prostate_schema(tmp_path, {"label_mapping": {"M": 2, "B": 0}})
+        assert main(["pca-report", f"--dataset={BUNDLED / 'prostate.csv'}",
+                     "--schema", schema]) == 2
 
 
 def _remove_model(run_dir):
@@ -251,6 +291,21 @@ class TestTrainEval:
 
     def test_eval_reproduces_train_metrics(self, out_dir):
         assert main(["train", *FAST_TRAIN]) == 0
+        assert main(["eval", "--run-dir", str(out_dir)]) == 0
+        train_bytes = (out_dir / "metrics.csv").read_bytes()
+        eval_bytes = (out_dir / "eval_metrics.csv").read_bytes()
+        assert train_bytes == eval_bytes
+
+    def test_eval_reproduces_metrics_of_a_middle_best_epoch(self, out_dir):
+        assert main(["train", *MIDDLE_BEST_TRAIN]) == 0
+        report = json.loads((out_dir / "train_report.json").read_text())
+        best_epoch = report["best_epoch"]
+        assert 0 < best_epoch < len(report["epochs"]) - 1
+        # Every other epoch differs in train and validation F1, so metrics.csv
+        # written from any epoch but the best one would differ from eval's.
+        f1s = [(e["train_f1"], e["val_f1"]) for e in report["epochs"]]
+        assert all(f1[0] != f1s[best_epoch][0] and f1[1] != f1s[best_epoch][1]
+                   for i, f1 in enumerate(f1s) if i != best_epoch)
         assert main(["eval", "--run-dir", str(out_dir)]) == 0
         train_bytes = (out_dir / "metrics.csv").read_bytes()
         eval_bytes = (out_dir / "eval_metrics.csv").read_bytes()

@@ -1,20 +1,22 @@
 import shutil
+import warnings
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
 
+import standins
 from multivqc.datasets import (
     DATA_DIR_ENV,
     DATASET_NAMES,
     EXTERNAL_FILENAMES,
-    SCHEMAS,
     bundled_dir,
-    generate_csv_text,
-    load_dataset,
     resolve_dataset,
-    write_bundled,
 )
 from multivqc.errors import ConfigError
+from multivqc.pipeline import load_csv
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PROFILES = {
     "heart_failure": (299, 12, 96),
@@ -23,25 +25,49 @@ PROFILES = {
 }
 
 
+def load_dataset(name):
+    resolved = resolve_dataset(name)
+    return load_csv(str(resolved.csv_path), resolved.schema), resolved.source
+
+
 class TestStandInGeneration:
     @pytest.mark.parametrize("name", DATASET_NAMES)
     def test_regeneration_matches_bundled_bytes(self, name):
         bundled = (bundled_dir() / f"{name}.csv").read_text(encoding="utf-8")
-        assert generate_csv_text(name) == bundled
+        assert standins.generate_csv_text(name) == bundled
 
     def test_write_bundled_reproduces_all_files(self, tmp_path):
-        written = write_bundled(tmp_path)
-        assert len(written) == 6
+        written = standins.write_bundled(tmp_path)
+        assert [path.name for path in written] == [f"{n}.csv" for n in DATASET_NAMES]
         for path in written:
-            reference = bundled_dir() / path.name
-            assert path.read_bytes() == reference.read_bytes()
+            assert path.read_bytes() == (bundled_dir() / path.name).read_bytes()
 
     def test_generation_deterministic(self):
-        assert generate_csv_text("prostate") == generate_csv_text("prostate")
+        assert standins.generate_csv_text("prostate") == standins.generate_csv_text("prostate")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
-            generate_csv_text("wine")
+            standins.generate_csv_text("wine")
+
+
+class TestBundledFiles:
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_schema_counts_agree_with_csv(self, name, monkeypatch):
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            data, _ = load_dataset(name)
+        assert data.name == name
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_bundled_files_are_package_data(self, name):
+        tomllib = pytest.importorskip("tomllib")
+        with open(PYPROJECT, "rb") as fh:
+            patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["multivqc"]
+        for filename in (f"{name}.csv", f"{name}.schema.json"):
+            assert (bundled_dir() / filename).is_file()
+            relative = PurePosixPath("bundled", filename)
+            assert any(relative.match(pattern) for pattern in patterns), filename
 
 
 class TestLoadDataset:
@@ -73,7 +99,7 @@ class TestLoadDataset:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
-            load_dataset("mystery")
+            resolve_dataset("mystery")
 
 
 class TestResolveDataset:
@@ -82,7 +108,8 @@ class TestResolveDataset:
         resolved = resolve_dataset("diabetes")
         assert resolved.source == "bundled-synthetic"
         assert resolved.csv_path == bundled_dir() / "diabetes.csv"
-        assert resolved.schema == SCHEMAS["diabetes"]
+        assert resolved.schema["name"] == "diabetes"
+        assert resolved.schema["label_column"] == "Outcome"
 
     def test_env_dir_with_known_filename_wins(self, tmp_path, monkeypatch):
         external_name = EXTERNAL_FILENAMES["prostate"][0]
