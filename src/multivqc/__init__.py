@@ -36,9 +36,7 @@ from .model import (
 )
 from .params import ParamStore
 from .pipeline import (
-    AngleEncoder,
     Dataset,
-    MinMaxScaler,
     PcaModel,
     Pipeline,
     SplitDataset,

@@ -27,7 +27,6 @@ from .errors import (
     DataError,
     MultiVqcError,
     NumericalError,
-    PipelineStateError,
     check_enum,
     check_int,
     check_str,
@@ -43,7 +42,6 @@ from .model import (
 from .pipeline import (
     ANGLE_RANGES,
     Dataset,
-    MinMaxScaler,
     Pipeline,
     SplitDataset,
     explained_variance_table,
@@ -283,8 +281,7 @@ def cmd_pca_report(args: argparse.Namespace) -> int:
         config = _deep_merge(config, {"dataset": args.dataset})
     dataset, source, path = _load_raw_dataset(config)
     _announce_source(dataset, source, path)
-    scaled = MinMaxScaler().fit(dataset.features).transform(dataset.features)
-    table = explained_variance_table(scaled)
+    table = explained_variance_table(dataset.features)
     print(f"{'component':>9}  {'variance':>10}  {'cumulative':>10}")
     records = []
     for i, (ratio, cum) in enumerate(table, start=1):
@@ -559,18 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "func"):
             raise ConfigError("a subcommand is required")
         return args.func(args)
-    except (ConfigError, PipelineStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MultiVqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DataError) else 3 if isinstance(exc, NumericalError) else 1
 
 
 if __name__ == "__main__":

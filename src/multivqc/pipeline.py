@@ -1,10 +1,13 @@
 """Tabular data pipeline: CSV loading, scaling, PCA, angle encoding, splits.
 
-The preprocessing order is fixed and enforced: per-feature min-max scaling
-to [0, 1], then PCA on the scaled features, then an affine re-normalization
-of the projected columns into a rotation-angle range (default [0, pi]).
-Every statistic is fitted on the training split only; validation and test
-values falling outside the fitted range are clipped.
+The preprocessing order is fixed and enforced by the one ``Pipeline``:
+per-feature min-max scaling to [0, 1], then PCA on the scaled features, then
+an affine re-normalization of the projected columns into a rotation-angle
+range (default [0, pi]). Scaling and encoding are the same clipped per-column
+map from a fitted [min, max] onto a range (``_to_range``). Every statistic is
+fitted on the training split only; validation and test values falling outside
+the fitted range are clipped. Constant feature columns are dropped at fit
+time; a constant component encodes to the range midpoint.
 
 PCA is a mean-centered covariance eigendecomposition computed by LAPACK
 through ``np.linalg.eigh``. Component sign convention: the largest-magnitude
@@ -17,7 +20,7 @@ import csv
 import json
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,8 +113,10 @@ def load_schema(path: str) -> dict:
         raise ConfigError(f"schema file {path} needs 'name' and 'label_column'")
     mapping = schema.get("label_mapping", {})
     drop = schema.get("drop_columns", [])
+    name = schema["name"]
     checks = [
-        ("name", "a string", isinstance(schema["name"], str)),
+        ("name", "a file name: a string other than '', '.' and '..', without '/' or '\\'",
+         isinstance(name, str) and name not in ("", ".", "..") and not set("/\\") & set(name)),
         ("label_column", "a string", isinstance(schema["label_column"], str)),
         ("label_mapping", "an object mapping labels to integers",
          isinstance(mapping, dict) and all(_is_int(v) for v in mapping.values())),
@@ -172,10 +177,10 @@ def load_csv(path: str, schema: dict) -> Dataset:
                 labels.append(int(label_mapping[raw_label]))
             else:
                 try:
-                    labels.append(int(float(raw_label)))
-                except ValueError:
+                    labels.append({0.0: 0, 1.0: 1}[float(raw_label)])
+                except (KeyError, ValueError):
                     raise DataError(
-                        f"{path}:{row_no}: cannot parse label {raw_label!r}"
+                        f"{path}:{row_no}: label {raw_label!r} is not 0 or 1"
                     ) from None
             try:
                 rows.append([float(row[i]) for i in feature_idx])
@@ -194,41 +199,6 @@ def _check_profile(dataset: Dataset, schema: dict, path: str) -> None:
         if expected is not None and count != expected:
             warnings.warn(f"{path}: {count} {noun}, expected {expected} "
                           f"for {dataset.name!r}", stacklevel=3)
-
-
-class MinMaxScaler:
-    """Per-column affine map onto [0, 1], fitted on training data only.
-
-    Constant columns carry no information under this map and are dropped
-    with a warning. Transform output is clipped to [0, 1] so out-of-range
-    validation/test values cannot escape the encoding domain.
-    """
-
-    def __init__(self) -> None:
-        self.mins: np.ndarray | None = None
-        self.maxs: np.ndarray | None = None
-        self.kept: np.ndarray | None = None
-
-    def fit(self, features: np.ndarray) -> "MinMaxScaler":
-        features = np.asarray(features, dtype=np.float64)
-        mins = features.min(axis=0)
-        maxs = features.max(axis=0)
-        kept = maxs > mins
-        if not np.all(kept):
-            warnings.warn(
-                f"dropping {int(np.sum(~kept))} constant feature column(s): "
-                f"indices {np.nonzero(~kept)[0].tolist()}", stacklevel=2)
-        self.mins = mins[kept]
-        self.maxs = maxs[kept]
-        self.kept = kept
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        if self.mins is None:
-            raise PipelineStateError("scaler used before fitting")
-        features = np.asarray(features, dtype=np.float64)[:, self.kept]
-        scaled = (features - self.mins) / (self.maxs - self.mins)
-        return np.clip(scaled, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -272,101 +242,101 @@ def transform_pca(model: PcaModel, features: np.ndarray) -> np.ndarray:
     return (features - model.mean) @ model.components.T
 
 
-def explained_variance_table(train_features: np.ndarray) -> np.ndarray:
-    """(d, 2) table of per-component and cumulative variance ratios."""
-    d = np.asarray(train_features).shape[1]
-    model = fit_pca(train_features, d)
-    ratios = model.explained_variance_ratio
+def _to_range(values: np.ndarray, mins: np.ndarray, maxs: np.ndarray,
+              low: float, high: float) -> np.ndarray:
+    """Affine map of each column from its fitted [min, max] onto [low, high],
+    clipped to [low, high]; a column with min == max maps to the midpoint."""
+    span = maxs - mins
+    width = high - low
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mapped = low + width * ((values - mins) / span)
+    return np.clip(np.where(span > 0.0, mapped, low + 0.5 * width), low, high)
+
+
+def _fit_scaler(features: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The min-max scaling step fitted on ``features``, and ``features``
+    scaled by it onto [0, 1]. Constant columns carry no information under
+    this map and are dropped with a warning."""
+    features = np.asarray(features, dtype=np.float64)
+    mins = features.min(axis=0)
+    maxs = features.max(axis=0)
+    kept = maxs > mins
+    if not np.all(kept):
+        warnings.warn(
+            f"dropping {int(np.sum(~kept))} constant feature column(s): "
+            f"indices {np.nonzero(~kept)[0].tolist()}", stacklevel=3)
+    scaler = {"mins": mins[kept], "maxs": maxs[kept], "kept": kept}
+    return scaler, _to_range(features[:, kept], scaler["mins"], scaler["maxs"], 0.0, 1.0)
+
+
+def explained_variance_table(features: np.ndarray) -> np.ndarray:
+    """(d, 2) table of per-component and cumulative variance ratios of the
+    min-max scaled ``features`` (d non-constant columns)."""
+    scaled = _fit_scaler(features)[1]
+    ratios = fit_pca(scaled, scaled.shape[1]).explained_variance_ratio
     return np.column_stack([ratios, np.cumsum(ratios)])
 
 
-class AngleEncoder:
-    """Affine per-column map of PCA outputs onto a rotation-angle range.
-
-    Fitted on training data; transform clips into the target range. A
-    constant column maps to the range midpoint.
-    """
-
-    def __init__(self, angle_range: tuple[float, float] = ANGLE_RANGES["0_pi"]):
-        low, high = float(angle_range[0]), float(angle_range[1])
-        if not high > low:
-            raise ConfigError(f"invalid angle range ({low}, {high})")
-        self.low = low
-        self.high = high
-        self.mins: np.ndarray | None = None
-        self.maxs: np.ndarray | None = None
-
-    def fit(self, projected: np.ndarray) -> "AngleEncoder":
-        projected = np.asarray(projected, dtype=np.float64)
-        self.mins = projected.min(axis=0)
-        self.maxs = projected.max(axis=0)
-        return self
-
-    def transform(self, projected: np.ndarray) -> np.ndarray:
-        if self.mins is None:
-            raise PipelineStateError("angle encoder used before fitting")
-        projected = np.asarray(projected, dtype=np.float64)
-        span = self.maxs - self.mins
-        width = self.high - self.low
-        midpoint = self.low + 0.5 * width
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = (projected - self.mins) / span
-        angles = self.low + width * unit
-        angles = np.where(span > 0.0, angles, midpoint)
-        return np.clip(angles, self.low, self.high)
+# The array sections of pipeline.json, in order. Each array's shape is spelt
+# in the raw column count "d", the kept column count "m" and the component
+# count "k".
+_LAYOUT = {
+    "scaler": {"mins": "m", "maxs": "m", "kept": "d"},
+    "pca": {"mean": "m", "components": "km", "explained_variance_ratio": "k"},
+    "encoder": {"mins": "k", "maxs": "k"},
+}
 
 
 class Pipeline:
     """Scale, project, and encode, in that order and no other.
 
-    fit() fits all three steps on a training matrix; transform and
+    fit() fits all three steps on a training matrix and keeps their arrays
+    in ``fitted``, one dict per section of ``_LAYOUT``. Transform and
     serialization before fit() raise PipelineStateError.
     """
 
     def __init__(self, n_components: int,
                  angle_range: tuple[float, float] = ANGLE_RANGES["0_pi"]):
         self.n_components = check_int("n_components", n_components, 1)
-        self.angle_range = (float(angle_range[0]), float(angle_range[1]))
-        self.scaler: MinMaxScaler | None = None
-        self.pca: PcaModel | None = None
-        self.encoder: AngleEncoder | None = None
+        low, high = float(angle_range[0]), float(angle_range[1])
+        if not high > low:
+            raise ConfigError(f"invalid angle range ({low}, {high})")
+        self.angle_range = (low, high)
+        self.fitted: dict[str, dict[str, np.ndarray]] | None = None
 
     def fit(self, train_features: np.ndarray) -> "Pipeline":
-        self.scaler = MinMaxScaler().fit(train_features)
-        scaled = self.scaler.transform(train_features)
-        self.pca = fit_pca(scaled, self.n_components)
-        projected = transform_pca(self.pca, scaled)
-        self.encoder = AngleEncoder(self.angle_range).fit(projected)
+        scaler, scaled = _fit_scaler(train_features)
+        pca = fit_pca(scaled, self.n_components)
+        projected = transform_pca(pca, scaled)
+        self.fitted = {
+            "scaler": scaler,
+            "pca": asdict(pca),
+            "encoder": {"mins": projected.min(axis=0), "maxs": projected.max(axis=0)},
+        }
         return self
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        if self.encoder is None:
+        if self.fitted is None:
             raise PipelineStateError("pipeline used before fitting completed")
-        scaled = self.scaler.transform(features)
-        return self.encoder.transform(transform_pca(self.pca, scaled))
+        scaler, pca, encoder = (self.fitted[section] for section in _LAYOUT)
+        features = np.asarray(features, dtype=np.float64)
+        if features.shape[1] != scaler["kept"].size:
+            raise DataError(f"pipeline was fitted on {scaler['kept'].size} feature "
+                            f"columns, got {features.shape[1]}")
+        scaled = _to_range(features[:, scaler["kept"]], scaler["mins"], scaler["maxs"],
+                           0.0, 1.0)
+        projected = transform_pca(PcaModel(**pca), scaled)
+        return _to_range(projected, encoder["mins"], encoder["maxs"], *self.angle_range)
 
     def to_json_dict(self) -> dict:
-        if self.encoder is None:
+        if self.fitted is None:
             raise PipelineStateError("cannot serialize an unfitted pipeline")
         return {
             "format": PIPELINE_FORMAT,
             "n_components": self.n_components,
             "angle_range": list(self.angle_range),
-            "scaler": {
-                "mins": self.scaler.mins.tolist(),
-                "maxs": self.scaler.maxs.tolist(),
-                "kept": self.scaler.kept.tolist(),
-            },
-            "pca": {
-                "mean": self.pca.mean.tolist(),
-                "components": self.pca.components.tolist(),
-                "explained_variance_ratio":
-                    self.pca.explained_variance_ratio.tolist(),
-            },
-            "encoder": {
-                "mins": self.encoder.mins.tolist(),
-                "maxs": self.encoder.maxs.tolist(),
-            },
+            **{section: {name: self.fitted[section][name].tolist() for name in arrays}
+               for section, arrays in _LAYOUT.items()},
         }
 
     @classmethod
@@ -375,23 +345,24 @@ class Pipeline:
             raise ConfigError("not a serialized pipeline document")
         try:
             pipe = cls(int(payload["n_components"]), tuple(payload["angle_range"]))
-            scaler = MinMaxScaler()
-            scaler.mins = np.asarray(payload["scaler"]["mins"], dtype=np.float64)
-            scaler.maxs = np.asarray(payload["scaler"]["maxs"], dtype=np.float64)
-            scaler.kept = np.asarray(payload["scaler"]["kept"], dtype=bool)
-            pipe.scaler = scaler
-            pipe.pca = PcaModel(
-                mean=np.asarray(payload["pca"]["mean"], dtype=np.float64),
-                components=np.asarray(payload["pca"]["components"], dtype=np.float64),
-                explained_variance_ratio=np.asarray(
-                    payload["pca"]["explained_variance_ratio"], dtype=np.float64),
-            )
-            encoder = AngleEncoder(pipe.angle_range)
-            encoder.mins = np.asarray(payload["encoder"]["mins"], dtype=np.float64)
-            encoder.maxs = np.asarray(payload["encoder"]["maxs"], dtype=np.float64)
-            pipe.encoder = encoder
+            fitted = {section: {name: np.asarray(payload[section][name],
+                                                 dtype=bool if name == "kept" else np.float64)
+                                for name in arrays}
+                      for section, arrays in _LAYOUT.items()}
+            kept = fitted["scaler"]["kept"]
+            sizes = {"d": kept.size, "m": int(np.sum(kept)), "k": pipe.n_components}
+            for section, arrays in _LAYOUT.items():
+                for name, dims in arrays.items():
+                    shape, expected = fitted[section][name].shape, tuple(sizes[d] for d in dims)
+                    if shape != expected:
+                        raise ValueError(f"{section}.{name} has shape {shape}, "
+                                         f"expected {expected}")
+            for fit_range in (fitted["scaler"], fitted["encoder"]):
+                if not np.all(fit_range["mins"] <= fit_range["maxs"]):  # false on NaN too
+                    raise ValueError("a fitted minimum is above its maximum or not a number")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed pipeline document: {exc}") from exc
+        pipe.fitted = fitted
         return pipe
 
 

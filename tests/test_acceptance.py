@@ -22,7 +22,6 @@ from multivqc.params import ParamStore
 from multivqc.pipeline import (
     ANGLE_RANGES,
     Dataset,
-    MinMaxScaler,
     Pipeline,
     explained_variance_table,
     load_csv,
@@ -115,8 +114,7 @@ def test_criterion_3_pca_cumulative_variance_thresholds():
     details = []
     for name, k, threshold in targets:
         data, source = load_dataset(name)
-        scaled = MinMaxScaler().fit(data.features).transform(data.features)
-        table = explained_variance_table(scaled)
+        table = explained_variance_table(data.features)
         cumulative = float(table[k - 1, 1])
         ok = ok and cumulative > threshold
         details.append(f"{name}[{source}] cumulative@{k} = {cumulative:.4f} "

@@ -210,6 +210,11 @@ class TestExitCodes:
         _prostate_schema_with(expected_rows="100"),
         _prostate_schema_with(expected_features=8.0),
         _prostate_schema_with(expected_class1=True),
+        _prostate_schema_with(name="../escaped"),
+        _prostate_schema_with(name="a\\b"),
+        _prostate_schema_with(name=""),
+        _prostate_schema_with(name="."),
+        _prostate_schema_with(name=".."),
     ])
     def test_bad_training_settings_are_config_errors(self, out_dir, tmp_path, capsys, argv):
         if isinstance(argv[-1], dict):
@@ -249,15 +254,53 @@ def _drop_pipeline_key(run_dir):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _edit_pipeline(run_dir, section, name, edit):
+    path = run_dir / "pipeline.json"
+    payload = json.loads(path.read_text())
+    payload[section][name] = edit(payload[section][name])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _truncate_scaler_kept(run_dir):
+    _edit_pipeline(run_dir, "scaler", "kept", lambda kept: kept[:3])
+
+
+def _truncate_encoder_mins(run_dir):
+    _edit_pipeline(run_dir, "encoder", "mins", lambda mins: mins[:-1])
+
+
+def _cut_pca_components(run_dir):
+    _edit_pipeline(run_dir, "pca", "components", lambda rows: [row[:5] for row in rows])
+
+
+def _scalar_scaler_mins(run_dir):
+    _edit_pipeline(run_dir, "scaler", "mins", lambda mins: 5)
+
+
+def _nan_encoder_max(run_dir):
+    _edit_pipeline(run_dir, "encoder", "maxs", lambda maxs: [float("nan"), *maxs[1:]])
+
+
 class TestEvalUnreadableRun:
     @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
                                         _drop_run_config_object, _drop_run_config_key,
-                                        _drop_pipeline_key])
+                                        _drop_pipeline_key, _truncate_scaler_kept,
+                                        _truncate_encoder_mins, _cut_pca_components,
+                                        _scalar_scaler_mins, _nan_encoder_max])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         damage(out_dir)
         assert main(["eval", "--run-dir", str(out_dir)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_dataset_of_another_width_is_data_error(self, out_dir, capsys):
+        assert main(["train", *FAST_TRAIN]) == 0
+        path = out_dir / "resolved_config.json"
+        payload = json.loads(path.read_text())
+        payload["config"]["dataset"] = "heart_failure"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["eval", "--run-dir", str(out_dir)]) == 2
+        assert "fitted on 8 feature columns, got 12" in capsys.readouterr().err
 
 
 class TestPcaReport:

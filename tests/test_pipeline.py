@@ -7,10 +7,9 @@ from multivqc.core import GateKind, expectations_z_batch, rotation, run_circuit_
 from multivqc.errors import ConfigError, DataError, PipelineStateError
 from multivqc.pipeline import (
     ANGLE_RANGES,
-    AngleEncoder,
     Dataset,
-    MinMaxScaler,
     Pipeline,
+    _to_range,
     explained_variance_table,
     fit_pca,
     load_csv,
@@ -33,7 +32,7 @@ BASIC_SCHEMA = {"name": "toy", "label_column": "label"}
 class TestLoadCsv:
     def test_reads_features_and_labels(self, tmp_path):
         path = write_csv(tmp_path / "toy.csv",
-                         "a,b,label\n1.5,2.0,1\n3.0,4.5,0\n")
+                         "a,b,label\n1.5,2.0,1.0\n3.0,4.5,0\n")
         data = load_csv(path, BASIC_SCHEMA)
         assert data.feature_names == ("a", "b")
         assert np.array_equal(data.features, [[1.5, 2.0], [3.0, 4.5]])
@@ -60,6 +59,12 @@ class TestLoadCsv:
         schema = {"name": "d", "label_column": "label", "drop_columns": ["id"]}
         data = load_csv(path, schema)
         assert data.feature_names == ("x",)
+
+    @pytest.mark.parametrize("label", ["0.6", "1.9", "2", "inf"])
+    def test_label_other_than_0_or_1_fails_with_row_number(self, tmp_path, label):
+        path = write_csv(tmp_path / "toy.csv", f"a,label\n1.0,0\n2.0,{label}\n")
+        with pytest.raises(DataError, match=":3"):
+            load_csv(path, BASIC_SCHEMA)
 
     def test_parse_failure_reports_row(self, tmp_path):
         path = write_csv(tmp_path / "broken.csv", "a,label\n1.0,0\nnope,1\n")
@@ -100,32 +105,38 @@ class TestLoadCsv:
             load_schema(str(schema_path))
 
 
+def scaling_step(train, values):
+    """``values`` through the scaling step of a Pipeline fitted on ``train``."""
+    scaler = Pipeline(n_components=1).fit(train).fitted["scaler"]
+    return _to_range(np.asarray(values)[:, scaler["kept"]], scaler["mins"],
+                     scaler["maxs"], 0.0, 1.0)
+
+
 class TestMinMaxScaler:
+    """Pipeline's min-max scaling step: the range map onto [0, 1]."""
+
     def test_affine_map_to_unit_interval(self):
-        scaler = MinMaxScaler().fit(np.array([[2.0], [4.0], [6.0]]))
-        out = scaler.transform(np.array([[2.0], [4.0], [6.0]]))
+        column = np.array([[2.0], [4.0], [6.0]])
+        out = scaling_step(column, column)
         assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
 
     def test_unit_range_column_unchanged(self):
         column = np.array([[0.0], [0.25], [1.0]])
-        scaler = MinMaxScaler().fit(column)
-        assert np.allclose(scaler.transform(column), column)
+        assert np.allclose(scaling_step(column, column), column)
 
     def test_out_of_range_values_clipped(self):
-        scaler = MinMaxScaler().fit(np.array([[0.0], [10.0]]))
-        out = scaler.transform(np.array([[-5.0], [15.0]]))
+        out = scaling_step(np.array([[0.0], [10.0]]), np.array([[-5.0], [15.0]]))
         assert np.array_equal(out[:, 0], [0.0, 1.0])
 
     def test_constant_column_dropped_with_warning(self):
         train = np.array([[1.0, 3.0], [1.0, 5.0]])
         with pytest.warns(UserWarning, match="constant"):
-            scaler = MinMaxScaler().fit(train)
-        out = scaler.transform(train)
+            out = scaling_step(train, train)
         assert out.shape == (2, 1)
 
     def test_transform_before_fit_rejected(self):
         with pytest.raises(PipelineStateError):
-            MinMaxScaler().transform(np.zeros((2, 2)))
+            Pipeline(n_components=1).transform(np.zeros((2, 2)))
 
 
 class TestFitPca:
@@ -246,43 +257,44 @@ class TestTransformPca:
 
 
 class TestAngleEncoder:
+    """Pipeline's encoding step: the range map onto an angle range."""
+
     def test_span_maps_to_range_endpoints(self):
-        encoder = AngleEncoder(ANGLE_RANGES["0_pi"]).fit(
-            np.array([[-3.0], [5.0]]))
-        out = encoder.transform(np.array([[-3.0], [5.0], [1.0]]))
+        out = _to_range(np.array([[-3.0], [5.0], [1.0]]), np.array([-3.0]),
+                        np.array([5.0]), *ANGLE_RANGES["0_pi"])
         assert out[0, 0] == pytest.approx(0.0)
         assert out[1, 0] == pytest.approx(np.pi)
         assert out[2, 0] == pytest.approx(np.pi / 2.0)
 
     def test_constant_column_maps_to_midpoint(self):
-        encoder = AngleEncoder(ANGLE_RANGES["0_pi"]).fit(np.full((4, 1), 2.5))
-        out = encoder.transform(np.array([[2.5], [9.0]]))
+        out = _to_range(np.array([[2.5], [9.0]]), np.array([2.5]), np.array([2.5]),
+                        *ANGLE_RANGES["0_pi"])
         assert np.allclose(out[:, 0], np.pi / 2.0)
 
     def test_out_of_range_clipped(self):
-        encoder = AngleEncoder(ANGLE_RANGES["0_pi"]).fit(np.array([[0.0], [1.0]]))
-        out = encoder.transform(np.array([[-2.0], [3.0]]))
+        out = _to_range(np.array([[-2.0], [3.0]]), np.array([0.0]), np.array([1.0]),
+                        *ANGLE_RANGES["0_pi"])
         assert out[0, 0] == 0.0
         assert out[1, 0] == pytest.approx(np.pi)
 
     @pytest.mark.parametrize("range_name", sorted(ANGLE_RANGES))
     def test_named_ranges_hit_their_endpoints(self, range_name):
         low, high = ANGLE_RANGES[range_name]
-        encoder = AngleEncoder((low, high)).fit(np.array([[0.0], [1.0]]))
-        out = encoder.transform(np.array([[0.0], [1.0]]))
-        assert out[0, 0] == pytest.approx(low)
-        assert out[1, 0] == pytest.approx(high)
+        train = np.random.default_rng(97).normal(size=(20, 3))
+        out = Pipeline(n_components=1, angle_range=(low, high)).fit(train).transform(train)
+        assert out.min() == pytest.approx(low)
+        assert out.max() == pytest.approx(high)
 
     def test_zero_angle_leaves_qubit_in_ground_state(self):
-        encoder = AngleEncoder(ANGLE_RANGES["0_pi"]).fit(np.array([[0.0], [1.0]]))
-        angle = encoder.transform(np.array([[0.0]]))[0, 0]
+        angle = _to_range(np.array([[0.0]]), np.array([0.0]), np.array([1.0]),
+                          *ANGLE_RANGES["0_pi"])[0, 0]
         gates = [rotation(GateKind.RX, 0, feature_id=0)]
         amps = run_circuit_batch(2, gates, features=np.array([[angle]]))
         assert expectations_z_batch(amps, [0], 2)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_inverted_range_rejected(self):
         with pytest.raises(ConfigError):
-            AngleEncoder((np.pi, 0.0))
+            Pipeline(n_components=1, angle_range=(np.pi, 0.0))
 
 
 class TestPipeline:
@@ -318,6 +330,28 @@ class TestPipeline:
         restored = Pipeline.from_json_dict(payload)
         probe = rng.normal(size=(8, 4))
         assert np.array_equal(pipe.transform(probe), restored.transform(probe))
+
+    def test_json_layout_is_pinned(self):
+        rng = np.random.default_rng(98)
+        train = np.column_stack([rng.normal(size=(30, 4)), np.ones(30)])
+        with pytest.warns(UserWarning, match="constant"):
+            pipe = Pipeline(n_components=3, angle_range=(-1.0, 2.0)).fit(train)
+        payload = pipe.to_json_dict()
+        assert list(payload) == ["format", "n_components", "angle_range",
+                                 "scaler", "pca", "encoder"]
+        assert payload["format"] == "multivqc-pipeline/1"
+        assert payload["n_components"] == 3
+        assert payload["angle_range"] == [-1.0, 2.0]
+        lengths = {section: {name: len(values) for name, values in payload[section].items()}
+                   for section in ("scaler", "pca", "encoder")}
+        assert lengths == {
+            "scaler": {"mins": 4, "maxs": 4, "kept": 5},
+            "pca": {"mean": 4, "components": 3, "explained_variance_ratio": 3},
+            "encoder": {"mins": 3, "maxs": 3},
+        }
+        assert [len(row) for row in payload["pca"]["components"]] == [4, 4, 4]
+        text = json.dumps(payload)
+        assert json.dumps(Pipeline.from_json_dict(json.loads(text)).to_json_dict()) == text
 
     def test_unfitted_pipeline_not_serializable(self):
         with pytest.raises(PipelineStateError):
