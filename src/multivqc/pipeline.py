@@ -169,19 +169,20 @@ def load_csv(path: str, schema: dict) -> Dataset:
                     f"{path}:{row_no}: expected {len(header)} fields, got {len(row)}"
                 )
             raw_label = row[label_idx].strip()
-            if label_mapping is not None:
-                if raw_label not in label_mapping:
-                    raise DataError(
-                        f"{path}:{row_no}: label {raw_label!r} not in schema mapping"
-                    )
-                labels.append(int(label_mapping[raw_label]))
-            else:
+            if label_mapping is None:
+                what = "is"
                 try:
-                    labels.append({0.0: 0, 1.0: 1}[float(raw_label)])
-                except (KeyError, ValueError):
-                    raise DataError(
-                        f"{path}:{row_no}: label {raw_label!r} is not 0 or 1"
-                    ) from None
+                    label = float(raw_label)
+                except ValueError:
+                    label = None
+            elif raw_label in label_mapping:
+                label = label_mapping[raw_label]
+                what = f"maps to {label},"
+            else:
+                raise DataError(f"{path}:{row_no}: label {raw_label!r} not in schema mapping")
+            if label not in (0, 1):
+                raise DataError(f"{path}:{row_no}: label {raw_label!r} {what} not 0 or 1")
+            labels.append(int(label))
             try:
                 rows.append([float(row[i]) for i in feature_idx])
             except ValueError as exc:
@@ -299,7 +300,7 @@ class Pipeline:
                  angle_range: tuple[float, float] = ANGLE_RANGES["0_pi"]):
         self.n_components = check_int("n_components", n_components, 1)
         low, high = float(angle_range[0]), float(angle_range[1])
-        if not high > low:
+        if not -np.inf < low < high < np.inf:
             raise ConfigError(f"invalid angle range ({low}, {high})")
         self.angle_range = (low, high)
         self.fitted: dict[str, dict[str, np.ndarray]] | None = None
@@ -357,9 +358,11 @@ class Pipeline:
                     if shape != expected:
                         raise ValueError(f"{section}.{name} has shape {shape}, "
                                          f"expected {expected}")
+                    if not np.all(np.isfinite(fitted[section][name])):
+                        raise ValueError(f"{section}.{name} holds a NaN or infinite value")
             for fit_range in (fitted["scaler"], fitted["encoder"]):
-                if not np.all(fit_range["mins"] <= fit_range["maxs"]):  # false on NaN too
-                    raise ValueError("a fitted minimum is above its maximum or not a number")
+                if not np.all(fit_range["mins"] <= fit_range["maxs"]):
+                    raise ValueError("a fitted minimum is above its maximum")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed pipeline document: {exc}") from exc
         pipe.fitted = fitted

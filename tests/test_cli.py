@@ -227,6 +227,12 @@ class TestExitCodes:
         assert main(["pca-report", f"--dataset={BUNDLED / 'prostate.csv'}",
                      "--schema", schema]) == 2
 
+    def test_schema_label_beyond_int64_is_data_error_naming_row(self, out_dir, tmp_path, capsys):
+        schema = _write_prostate_schema(tmp_path, {"label_mapping": {"M": 10**30, "B": 0}})
+        assert main(["pca-report", f"--dataset={BUNDLED / 'prostate.csv'}",
+                     "--schema", schema]) == 2
+        assert "prostate.csv:2: label 'M' maps to 10" in capsys.readouterr().err
+
 
 def _remove_model(run_dir):
     (run_dir / "model.json").unlink()
@@ -281,12 +287,24 @@ def _nan_encoder_max(run_dir):
     _edit_pipeline(run_dir, "encoder", "maxs", lambda maxs: [float("nan"), *maxs[1:]])
 
 
+def _nan_pca_mean(run_dir):
+    _edit_pipeline(run_dir, "pca", "mean", lambda mean: [float("nan"), *mean[1:]])
+
+
+def _infinite_angle_range(run_dir):
+    path = run_dir / "pipeline.json"
+    payload = json.loads(path.read_text())
+    payload["angle_range"] = [0.0, float("inf")]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 class TestEvalUnreadableRun:
     @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
                                         _drop_run_config_object, _drop_run_config_key,
                                         _drop_pipeline_key, _truncate_scaler_kept,
                                         _truncate_encoder_mins, _cut_pca_components,
-                                        _scalar_scaler_mins, _nan_encoder_max])
+                                        _scalar_scaler_mins, _nan_encoder_max,
+                                        _nan_pca_mean, _infinite_angle_range])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         damage(out_dir)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from multivqc import core
 from multivqc.core import (
     GateKind,
     GateOp,
@@ -13,7 +16,7 @@ from multivqc.core import (
 )
 from multivqc.errors import ConfigError, ModelDefinitionError
 from multivqc.gradients import run_circuit_blocks
-from multivqc.templates import VqcConfig, build_vqc
+from multivqc.templates import Ansatz, Encoding, VqcConfig, build_vqc
 
 import oracles
 
@@ -175,6 +178,20 @@ class TestExpectationZ:
                 oracles.oracle_z_expectation(amps, q, 3), abs=1e-12)
 
 
+    def test_any_qubit_list_in_one_read(self):
+        rng = np.random.default_rng(22)
+        amps = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        qubits = [2, 0, 2, 1]
+        table = expectations_z_batch(amps, qubits, 3)
+        assert table.shape == (4, 4)
+        for b in range(4):
+            for j, q in enumerate(qubits):
+                assert table[b, j] == pytest.approx(
+                    oracles.oracle_z_expectation(amps[b], q, 3), abs=1e-12)
+        assert expectations_z_batch(amps, [], 3).shape == (4, 0)
+
+
 class TestRunCircuit:
     def test_empty_gate_list_is_identity(self):
         amps = run_circuit_batch(2, [])[0]
@@ -231,6 +248,116 @@ class TestRunCircuit:
         second = run_circuit_batch(cfg.n_qubits, gates, params=params,
                                    features=features[None])
         assert np.array_equal(first, second)
+
+
+def random_gate_list(rng, n_qubits, n_gates, n_params, n_features):
+    """Rotations with fixed, param and feature angles on random qubits,
+    interleaved with CNOTs on arbitrary qubit pairs."""
+    gates = []
+    for _ in range(n_gates):
+        if n_qubits > 1 and rng.random() < 0.3:
+            control, target = rng.choice(n_qubits, size=2, replace=False)
+            gates.append(cnot(int(control), int(target)))
+            continue
+        kind = (GateKind.RX, GateKind.RY, GateKind.RZ)[int(rng.integers(3))]
+        qubit = int(rng.integers(n_qubits))
+        source = int(rng.integers(3))
+        if source == 0:
+            gates.append(rotation(kind, qubit, angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))))
+        elif source == 1:
+            gates.append(rotation(kind, qubit, param_id=int(rng.integers(n_params))))
+        else:
+            gates.append(rotation(kind, qubit, feature_id=int(rng.integers(n_features))))
+    return gates
+
+
+def assert_matches_oracle(n_qubits, gates, params, features):
+    amps = run_circuit_batch(n_qubits, gates, params=params, features=features)
+    assert amps.shape == (features.shape[0], 2**n_qubits)
+    for row, state in zip(features, amps):
+        ref = oracles.oracle_state(n_qubits, gates, params=params, features=row)
+        assert np.max(np.abs(state - ref)) < 1e-12
+
+
+RX, RY, RZ = GateKind.RX, GateKind.RY, GateKind.RZ
+# Hand-picked shapes of the segment compiler on 3 qubits, 2 params, 2 features.
+SHAPED_CIRCUITS = {
+    "empty": [],
+    "cnot_only": [cnot(0, 1), cnot(2, 0)],
+    "feature_mid_chain": [rotation(RZ, 0, param_id=0), rotation(RX, 0, feature_id=1),
+                          rotation(RY, 0, param_id=1), rotation(RZ, 0, feature_id=0),
+                          rotation(RX, 0, angle=0.3), rotation(RY, 1, feature_id=0)],
+    "feature_first_and_last": [rotation(RY, 2, feature_id=0), rotation(RZ, 2, angle=1.1),
+                               rotation(RX, 2, feature_id=1)],
+    "split_by_cnot_elsewhere": [rotation(RX, 0, param_id=0), cnot(1, 2),
+                                rotation(RY, 0, feature_id=1), rotation(RZ, 0, param_id=1)],
+    "back_to_back_cnot_runs": [cnot(0, 1), cnot(1, 2), rotation(RY, 1, param_id=0),
+                               cnot(2, 0), cnot(0, 2), cnot(1, 0), rotation(RX, 0, feature_id=0),
+                               cnot(0, 1)],
+    "ends_in_rotations": [rotation(RY, 0, feature_id=0), cnot(0, 1), cnot(1, 2),
+                          rotation(RX, 1, param_id=1), rotation(RZ, 2, angle=-0.7),
+                          rotation(RY, 2, feature_id=1)],
+    "no_feature_gates": [rotation(RY, 1, param_id=0), cnot(1, 0), rotation(RX, 0, angle=2.0)],
+}
+
+
+class TestCompiledRunner:
+    """The compiled runner against the dense oracle, to 1e-12."""
+
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_random_gate_lists_match_oracle(self, n_qubits):
+        rng = np.random.default_rng(40 + n_qubits)
+        for _ in range(6 if n_qubits < 7 else 2):
+            n_params, n_features = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            gates = random_gate_list(rng, n_qubits, int(rng.integers(0, 30)),
+                                     n_params, n_features)
+            params = rng.uniform(-np.pi, 2 * np.pi, n_params)
+            features = rng.uniform(-np.pi, np.pi, (int(rng.integers(1, 4)), n_features))
+            assert_matches_oracle(n_qubits, gates, params, features)
+
+    @pytest.mark.parametrize("name", SHAPED_CIRCUITS)
+    def test_segment_shapes_match_oracle(self, name):
+        rng = np.random.default_rng(50)
+        assert_matches_oracle(3, SHAPED_CIRCUITS[name], rng.uniform(-np.pi, np.pi, 2),
+                              rng.uniform(-np.pi, np.pi, (4, 2)))
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 5, 8])
+    def test_every_template_matches_oracle(self, n_qubits):
+        rng = np.random.default_rng(60 + n_qubits)
+        for encoding, ansatz, reuploading in itertools.product(Encoding, Ansatz, (False, True)):
+            cfg = VqcConfig(n_qubits=n_qubits, encoding=encoding, ansatz=ansatz,
+                            n_layers=2, reuploading=reuploading)
+            gates, n_params = build_vqc(cfg)
+            assert_matches_oracle(n_qubits, gates, rng.uniform(0, 2 * np.pi, n_params),
+                                  rng.uniform(0, np.pi, (2, n_qubits)))
+
+    @pytest.mark.parametrize("gates", [
+        [rotation(GateKind.RX, 3, angle=0.1)],
+        [rotation(GateKind.RY, -1, param_id=0)],
+        [cnot(0, 3)],
+        [rotation(GateKind.RZ, 0, feature_id=0), cnot(5, 1)],
+    ])
+    def test_bad_qubit_is_index_error_on_every_call(self, gates):
+        for _ in range(2):
+            with pytest.raises(IndexError):
+                run_circuit_batch(3, gates, params=np.zeros(1), features=np.zeros((1, 1)))
+
+    def test_unresolvable_source_raises_after_a_cached_compile(self):
+        gates = [rotation(GateKind.RX, 0, param_id=1), cnot(0, 1),
+                 rotation(GateKind.RY, 1, feature_id=2)]
+        run_circuit_batch(2, gates, params=np.zeros(2), features=np.zeros((1, 3)))
+        hits = core._compile.cache_info().hits
+        for params, features in [(np.zeros(1), np.zeros((1, 3))), (None, np.zeros((1, 3))),
+                                 (np.zeros(2), np.zeros((1, 2))), (np.zeros(2), None)]:
+            with pytest.raises(ModelDefinitionError):
+                run_circuit_batch(2, gates, params=params, features=features)
+        assert core._compile.cache_info().hits == hits + 4
+
+    def test_negative_source_ids_are_unresolvable(self):
+        for gate in (rotation(GateKind.RX, 0, param_id=-1),
+                     rotation(GateKind.RX, 0, feature_id=-1)):
+            with pytest.raises(ModelDefinitionError):
+                run_circuit_batch(1, [gate], params=np.zeros(2), features=np.zeros((1, 2)))
 
 
 class TestBatching:

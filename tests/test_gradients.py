@@ -324,3 +324,29 @@ class TestAdjointGradient:
         model, store, X, y, weights = random_chain(rng, n_vqcs=3)
         batch_loss_gradient(model, store, X, y, weights)
         assert rows == {"model": [X.shape[0]] * 3, "gradients": [], "blocks": []}
+
+    def test_forward_uses_no_per_gate_kernel_and_compiles_once(self, monkeypatch):
+        # The forward runs compiled segments: the per-gate kernels belong to
+        # the adjoint sweep, and a gate list seen before is not compiled again.
+        calls = []
+
+        def counting(kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(kernel.__name__)
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(core, "apply_rotation_batch", counting(core.apply_rotation_batch))
+        monkeypatch.setattr(core, "apply_cnot_batch", counting(core.apply_cnot_batch))
+        config = MultiVqcConfig(n_features=8, n_classes=2, n_vqcs=3, ansatz="strongly",
+                                n_layers=2)
+        rng = np.random.default_rng(2012)
+        first = MultiVqcModel(config)
+        store = first.new_store(rng)
+        X = rng.uniform(0.0, np.pi, size=(5, 8))
+        scores = first.forward_batch(store, X).scores
+        assert calls == []
+        misses = core._compile.cache_info().misses
+        second = MultiVqcModel(config)
+        assert np.array_equal(second.forward_batch(store, X).scores, scores)
+        assert core._compile.cache_info().misses == misses
