@@ -17,9 +17,11 @@ per qubit, and each CNOT run as one basis permutation. A call gathers every
 angle at once, multiplies each chain into one 2x2 matrix (per row only where
 a feature-bound gate is in it) and applies one matrix per qubit and one
 permutation per run. The first segment acts on |0...0>, so it builds the
-state as a product of its matrices' first columns. The per-gate kernels
-``apply_rotation_batch`` and ``apply_cnot_batch`` serve the adjoint reverse
-sweep, which un-applies the gates one at a time.
+state as a product of its matrices' first columns. ``adjoint_gradient``
+walks the same table backwards: per segment it reads one 2x2 environment per
+chain, then undoes one fused matrix per qubit and one permutation per run.
+The per-gate kernels ``apply_rotation_batch`` and ``apply_cnot_batch`` are
+references for the tests; no circuit run calls them.
 
 Kernels on large arrays use ``np.multiply``/``np.add`` with ``out=`` or
 in-place operators rather than expressions such as ``a * b + c * d``: an
@@ -197,9 +199,11 @@ _ZERO_KET = np.array([[1], [0]], dtype=np.complex128)
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2x2 matrices stored row-major along axis 0 of (4, ...) arrays."""
-    out = np.multiply(a[[0, 0, 2, 2]], b[[0, 1, 0, 1]])
-    out += np.multiply(a[[1, 1, 3, 3]], b[[2, 3, 2, 3]])
-    return out
+    a = a.reshape(2, 2, 1, *a.shape[1:])  # [i, j, 1]: a_ij
+    b = b.reshape(1, 2, 2, *b.shape[1:])  # [1, j, k]: b_jk
+    out = np.multiply(a[:, 0], b[:, 0])
+    out += np.multiply(a[:, 1], b[:, 1])
+    return out.reshape(4, *out.shape[2:])
 
 
 def _apply_fused(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
@@ -223,6 +227,7 @@ class _Compiled:
     the runs of row-independent gates between them.
     """
 
+    n_qubits: int
     angles: np.ndarray         # (G + 1,) fixed angles; entry G (angle 0) pads runs
     param_slots: np.ndarray    # entries of ``angles`` taken from the parameters
     param_ids: np.ndarray
@@ -231,10 +236,23 @@ class _Compiled:
     feature_pauli: np.ndarray  # (4, F, 1)
     runs: np.ndarray           # (longest run, runs) gate positions in application order
     # One entry per chain shape (has R_0, m): (R_0 if any, then R_1..R_m;
-    # F_1..F_m), each row an index array over the chains of that shape.
+    # F_1..F_m), each row an index array over the chains of that shape; then
+    # the first of those runs that holds a parameter in some chain, and the
+    # last segment holding a chain of that shape.
     groups: tuple
     first: tuple               # per qubit: (group, chain) in the first segment, or None
     steps: tuple               # (permutation, ((qubit, group, chain), ...)) per CNOT run
+    # Read by the reverse sweep only.
+    segments: tuple            # ((qubit, group, chain), ...) per segment, the first included
+    inverses: tuple            # inverse of each CNOT run's permutation
+    stops: tuple               # earliest segment with a parameter gate; with a parameter or
+                               # feature gate (indexed by input_gradient)
+    signs: np.ndarray          # (2**n, n) Z eigenvalue of each qubit in each basis state
+    run_pauli_t: np.ndarray    # (4, longest run, runs) transposed -iP of each ``runs`` cell
+    feature_pauli_t: np.ndarray  # (4, F)
+    param_cells: np.ndarray    # flat ``runs`` cells holding a parameter gate, and
+    cell_params: np.ndarray    # the param_id of each
+    feature_map: np.ndarray    # (F, max feature_id + 1) one-hot source column of each
 
 
 def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
@@ -277,7 +295,7 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         fixed.extend(run)
         return len(runs) - 1
 
-    def add_chain(chain: list[GateOp]) -> tuple[int, int]:
+    def add_chain(chain: list[GateOp], segment: int) -> tuple[int, int]:
         split, feature_ids, run = [], [], []
         for gate in chain:
             if gate.feature_id is None:
@@ -289,19 +307,24 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
             bound.append(gate)
         split.append(run)
         lead = bool(split[0]) or not feature_ids
-        run_ids = [add_run(r) for r in (split if lead else split[1:])]
+        kept = split if lead else split[1:]
+        trained = [i for i, r in enumerate(kept) if any(g.param_id is not None for g in r)]
         key = (lead, len(feature_ids))
         members = shapes.setdefault(key, [])
-        members.append((run_ids, feature_ids))
+        members.append(([add_run(r) for r in kept], feature_ids,
+                        min(trained, default=len(kept)), segment))
         return list(shapes).index(key), len(members) - 1
 
-    placed = [[(q, add_chain(chain)) for q, chain in sorted(segment.items())]
-              for segment in segments]
-    first = dict(placed[0])
+    placed = [tuple((q, *add_chain(chain, s)) for q, chain in sorted(segment.items()))
+              for s, segment in enumerate(segments)]
+    first = {q: (group, chain) for q, group, chain in placed[0]}
     longest = max([1] + [len(run) for run in runs])
     table = np.full((longest, len(runs)), len(fixed), dtype=np.int64)
     for column, run in enumerate(runs):
         table[:len(run), column] = run
+    cells = [(i, fixed[g].param_id) for i, g in enumerate(table.ravel())
+             if g < len(fixed) and fixed[g].param_id is not None]
+    sources = [g.feature_id for g in bound]
 
     def pauli(ops: list[GateOp], pad: int) -> np.ndarray:
         rows = [_MINUS_I_PAULI[g.kind] for g in ops] + [(0, 0, 0, 0)] * pad
@@ -310,22 +333,66 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
     def rows(members: list, column: int) -> np.ndarray:
         return np.array([m[column] for m in members], dtype=np.int64).reshape(len(members), -1).T
 
+    def earliest(needed) -> int:
+        return next((s for s, segment in enumerate(segments)
+                     if any(needed(g) for chain in segment.values() for g in chain)),
+                    len(segments))
+
+    fixed_pauli, feature_pauli = pauli(fixed, 1), pauli(bound, 0)
     return _Compiled(
+        n_qubits=n_qubits,
         angles=np.array([0.0 if g.angle is None else g.angle for g in fixed] + [0.0]),
         param_slots=np.array([i for i, g in enumerate(fixed) if g.param_id is not None],
                              dtype=np.int64),
         param_ids=np.array([g.param_id for g in fixed if g.param_id is not None],
                            dtype=np.int64),
-        pauli=pauli(fixed, 1),
-        feature_ids=np.array([g.feature_id for g in bound], dtype=np.int64),
-        feature_pauli=pauli(bound, 0),
+        pauli=fixed_pauli,
+        feature_ids=np.array(sources, dtype=np.int64),
+        feature_pauli=feature_pauli,
         runs=table,
-        groups=tuple((lead, rows(members, 0), rows(members, 1))
+        groups=tuple((lead, rows(members, 0), rows(members, 1), min(m[2] for m in members),
+                      max(m[3] for m in members))
                      for (lead, _), members in shapes.items()),
         first=tuple(first.get(q) for q in range(n_qubits)),
-        steps=tuple((perm, tuple((q, *chain) for q, chain in chains))
-                    for perm, chains in zip(perms, placed[1:])),
+        steps=tuple(zip(perms, placed[1:])),
+        segments=tuple(placed),
+        inverses=tuple(np.argsort(perm) for perm in perms),
+        stops=(earliest(lambda g: g.param_id is not None), earliest(lambda g: g.angle is None)),
+        signs=_z_signs(n_qubits, range(n_qubits)).T,
+        run_pauli_t=fixed_pauli[[0, 2, 1, 3], :, 0][:, table],
+        feature_pauli_t=feature_pauli[[0, 2, 1, 3], :, 0],
+        param_cells=np.array([i for i, _ in cells], dtype=np.int64),
+        cell_params=np.array([p for _, p in cells], dtype=np.int64),
+        feature_map=np.equal.outer(sources, np.arange(max(sources, default=-1) + 1)) * 1.0,
     )
+
+
+def _gate_matrices(circuit: _Compiled, params, features):
+    """Each row-independent gate as a (4, G + 1, 1) matrix, and the (F, batch)
+    cos and sin of each feature-bound gate's half angle (None without any)."""
+    half = circuit.angles.copy()
+    if circuit.param_ids.size:
+        half[circuit.param_slots] = params[circuit.param_ids]
+    half = 0.5 * half[:, None]
+    mats = _IDENTITY * np.cos(half) + circuit.pauli * np.sin(half)
+    if not circuit.feature_ids.size:
+        return mats, None, None
+    half_f = 0.5 * features[:, circuit.feature_ids].T
+    return mats, np.cos(half_f), np.sin(half_f)
+
+
+def _fuse(circuit: _Compiled, runs: np.ndarray, cos_f, sin_f, group) -> np.ndarray:
+    """U = R_m F_m ... R_0 of each chain of one shape, (4, chains, rows or 1),
+    from the (4, runs, 1) products ``runs`` of the row-independent runs."""
+    lead, run_rows, feature_rows = group[:3]
+    u = runs[:, run_rows[0]] if lead else None
+    for j, bound in enumerate(feature_rows):
+        # R_j F_j = cos R_j + sin R_j (-iP): one per-row product per feature gate.
+        r = runs[:, run_rows[j + lead]]
+        rf = np.multiply(cos_f[bound], r)
+        rf += np.multiply(sin_f[bound], _product(r, circuit.feature_pauli[:, bound]))
+        u = rf if u is None else _product(rf, u)
+    return u
 
 
 def run_circuit_batch(n_qubits: int, gates, params=None,
@@ -352,27 +419,11 @@ def run_circuit_batch(n_qubits: int, gates, params=None,
     _check_ids(circuit.feature_ids.tolist(), 0 if features is None else features.shape[1],
                "feature_id")
 
-    half = circuit.angles.copy()
-    if circuit.param_ids.size:
-        half[circuit.param_slots] = params[circuit.param_ids]
-    half = 0.5 * half[:, None]
-    mats = _IDENTITY * np.cos(half) + circuit.pauli * np.sin(half)  # (4, G + 1, 1)
+    mats, cos_f, sin_f = _gate_matrices(circuit, params, features)
     runs = mats[:, circuit.runs[0]]
     for later in circuit.runs[1:]:
         runs = _product(mats[:, later], runs)
-    if circuit.feature_ids.size:
-        half_f = 0.5 * features[:, circuit.feature_ids].T  # (F, batch)
-        cos_f, sin_f = np.cos(half_f), np.sin(half_f)
-    fused = []
-    for lead, run_rows, feature_rows in circuit.groups:
-        u = runs[:, run_rows[0]] if lead else None
-        for j, bound in enumerate(feature_rows):
-            # R_j F_j = cos R_j + sin R_j (-iP): one per-row product per feature gate.
-            r = runs[:, run_rows[j + lead]]
-            rf = np.multiply(cos_f[bound], r)
-            rf += np.multiply(sin_f[bound], _product(r, circuit.feature_pauli[:, bound]))
-            u = rf if u is None else _product(rf, u)
-        fused.append(u)  # (4, chains, rows or 1)
+    fused = [_fuse(circuit, runs, cos_f, sin_f, group) for group in circuit.groups]
 
     amps = np.ones((1, batch), dtype=np.complex128)
     for chain in circuit.first:
@@ -385,61 +436,114 @@ def run_circuit_batch(n_qubits: int, gates, params=None,
     return np.ascontiguousarray(amps.T)
 
 
-def _imag_pauli_overlap(stacked: np.ndarray, kind: GateKind, target: int) -> np.ndarray:
-    """Per-row Im<lam|P_target|phi> for a (2B, 2**n) stack of phi over lam."""
-    view = stacked.reshape(2, stacked.shape[0] // 2, 2**target, 2, -1)
-    phi0, phi1 = view[0, :, :, 0], view[0, :, :, 1]
-    lam0, lam1 = view[1, :, :, 0].conj(), view[1, :, :, 1].conj()
-    if kind == GateKind.RZ:
-        overlap = (lam0 * phi0 - lam1 * phi1).imag
-    elif kind == GateKind.RX:
-        overlap = (lam0 * phi1 + lam1 * phi0).imag
-    else:  # Y = [[0, -i], [i, 0]]
-        overlap = (lam1 * phi0 - lam0 * phi1).real
-    return overlap.sum(axis=(1, 2))
+def _dagger(u: np.ndarray) -> np.ndarray:
+    return u[[0, 2, 1, 3]].conj()
 
 
-def adjoint_gradient(n_qubits: int, gates, params, features: np.ndarray,
+def _conjugate(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u^H m u for 2x2 matrices stored as in ``_product``."""
+    return _product(_product(_dagger(u), m), u)
+
+
+def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
                      final: np.ndarray, cotangent: np.ndarray,
                      input_gradient: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Vector-Jacobian product of one circuit's Z expectations by one reverse sweep.
 
-    ``final`` is the (batch, 2**n) output of ``run_circuit_batch`` for these
-    ``params`` and ``features``; ``cotangent`` (batch, n_measured) weights
-    the <Z> of qubits 0..n_measured-1. Returns the gradient of
-    sum_bm cotangent[b, m] * <Z_m>_b w.r.t. each parameter, summed over the
-    batch, and, if ``input_gradient``, w.r.t. each input angle per row as a
-    (batch, n_features) array; a re-uploaded feature sums over its gates.
+    ``circuit`` is the gate list's ``_compile`` table and ``final`` the
+    (batch, 2**n) output of ``run_circuit_batch`` for these ``params`` and
+    ``features``; ``cotangent`` (batch, n_measured) weights the <Z> of qubits
+    0..n_measured-1. Returns the gradient of sum_bm cotangent[b, m] * <Z_m>_b
+    w.r.t. each parameter, summed over the batch, and, if ``input_gradient``,
+    w.r.t. each input angle per row as a (batch, n_features) array; a
+    re-uploaded feature sums over its gates.
 
-    Adjoint method (Jones & Gacon, arXiv:2009.02823): phi starts at the
-    final state and lam at O phi with O = sum_m c_bm Z_m. Walking the gates
-    backwards, a rotation exp(-i theta P / 2) contributes
-    d<O>/d theta = Im<lam|P|phi>, then the gate is un-applied on both.
-    Without an input gradient the sweep stops at the earliest trainable gate.
+    Adjoint method (Jones & Gacon, arXiv:2009.02823) on the segment table:
+    phi starts at the final state and lam at O phi, O = sum_m c_bm Z_m, both
+    stacked in one (2**n, 2 * batch) state. Walking the segments backwards,
+    the sweep first reads, for each chain U on qubit q, the 2x2 environment
+    E[c, a] = sum over the other qubits of phi[..c..] conj(lam[..a..]); then
+    it undoes the segment, U^H on each qubit and the inverse permutation of
+    the CNOT run before it. The earliest segment is never undone, and the
+    sweep ends at the earliest segment holding a gate to differentiate. For
+    a gate j of U, with Suf_j the product of U's gates after it,
+    d<O>/d theta_j = Re tr(-iP_j Suf_j^H E Suf_j), in 2x2 algebra stacked over
+    all chains of one shape. A row-independent suffix reads the environment
+    summed over rows; it stays per row only for a chain whose walk crosses a
+    feature-bound gate.
     """
     params = np.asarray(params, dtype=np.float64)
-    signs = _z_signs(n_qubits, range(cotangent.shape[1]))
-    stacked = np.concatenate([final, (cotangent @ signs) * final])
-    param_grad = np.zeros(params.shape[0], dtype=np.float64)
-    input_grad = np.zeros(features.shape, dtype=np.float64) if input_gradient else None
-    if input_gradient:
-        stop = 0
-    else:
-        stop = next((i for i, g in enumerate(gates) if g.param_id is not None), len(gates))
-    for i in range(len(gates) - 1, stop - 1, -1):
-        gate = gates[i]
-        if gate.kind == GateKind.CNOT:
-            stacked = apply_cnot_batch(stacked, gate.control, gate.target, n_qubits)
-            continue
-        if gate.param_id is not None:
-            param_grad[gate.param_id] += _imag_pauli_overlap(stacked, gate.kind, gate.target).sum()
-        elif gate.feature_id is not None and input_grad is not None:
-            input_grad[:, gate.feature_id] += _imag_pauli_overlap(stacked, gate.kind, gate.target)
-        if i == stop:
-            break
-        angle = _resolve_angle(gate, params, features)
-        if gate.feature_id is not None:
-            angle = np.concatenate([angle, angle])
-        stacked = apply_rotation_batch(stacked, gate.kind, gate.target, -angle, n_qubits)
-    return param_grad, input_grad
+    batch = final.shape[0]
+    input_grad = np.zeros(features.shape) if input_gradient else None
+    stop = circuit.stops[input_gradient]
+    if stop == len(circuit.segments):
+        return np.zeros(params.shape[0]), input_grad
+    # A chain shape's environment stays per row if its walk crosses a feature gate.
+    rowwise = [feature_rows.shape[0] > 0 and (input_gradient or first < run_rows.shape[0] - 1)
+               for _, run_rows, feature_rows, first, _ in circuit.groups]
+    envs = [np.zeros((4, group[1].shape[1], batch if per_row else 1), dtype=np.complex128)
+            for group, per_row in zip(circuit.groups, rowwise)]
+    undone = [group[4] > stop for group in circuit.groups]
 
+    suffixes = [None]  # suffixes[L - 1 - j]: product of each run's gates after position j
+    if any(rowwise) or any(undone) or circuit.runs.shape[0] > 1:
+        mats, cos_f, sin_f = _gate_matrices(circuit, params, features)
+        full = mats[:, circuit.runs[-1]]
+        for earlier in circuit.runs[-2::-1]:
+            suffixes.append(full)
+            full = _product(full, mats[:, earlier])
+    undo = []
+    for group, wanted in zip(circuit.groups, undone):
+        u = _dagger(_fuse(circuit, full, cos_f, sin_f, group)) if wanted else None
+        undo.append(u if u is None or u.shape[2] == 1 else np.concatenate([u, u], axis=2))
+
+    stacked = np.empty((2**circuit.n_qubits, 2 * batch), dtype=np.complex128)
+    stacked[:, :batch] = final.T
+    np.multiply(final.T, circuit.signs[:, :cotangent.shape[1]] @ cotangent.T,
+                out=stacked[:, batch:])
+    for k in range(len(circuit.segments) - 1, stop - 1, -1):
+        chains = circuit.segments[k]
+        lam = stacked[:, batch:].conj() if chains else None
+        for qubit, group, chain in chains:
+            shape = (2**qubit, 2, -1, batch)
+            env = envs[group]
+            env[:, chain] = np.einsum("icjb,iajb->cab" if env.shape[2] > 1 else "icjb,iajb->ca",
+                                      stacked[:, :batch].reshape(shape),
+                                      lam.reshape(shape)).reshape(4, -1)
+        if k == stop:
+            break
+        for qubit, group, chain in chains:
+            stacked = _apply_fused(stacked, undo[group][:, chain], qubit)
+        stacked = stacked[circuit.inverses[k - 1]]
+
+    # Walk each chain shape from its last run leftwards while an earlier gate
+    # still needs a gradient: m is Suf^H E Suf at the current position. Left
+    # of run r lie feature gate r - lead, then run r - 1, and so on.
+    run_env = np.zeros((4, circuit.runs.shape[1]), dtype=np.complex128)
+    if input_gradient:
+        feature_grad = np.zeros((circuit.feature_ids.shape[0], batch))
+    for (lead, run_rows, feature_rows, first, _), m in zip(circuit.groups, envs):
+        for r in range(run_rows.shape[0] - 1, -1, -1):
+            run_env[:, run_rows[r]] = m.sum(axis=2)
+            if first >= r and not (input_gradient and r >= lead):
+                break
+            m = _conjugate(m, full[:, run_rows[r]])
+            bound = feature_rows[r - lead]
+            if input_gradient:
+                feature_grad[bound] = np.einsum(
+                    "kc,kcb->cb", circuit.feature_pauli_t[:, bound], m).real
+            if first >= r and not (input_gradient and r > lead):
+                break
+            m = _conjugate(m, _IDENTITY * cos_f[bound]
+                           + circuit.feature_pauli[:, bound] * sin_f[bound])
+
+    cell_env = run_env[:, None]
+    if len(suffixes) > 1:
+        shifted = _conjugate(cell_env, np.stack(suffixes[:0:-1], axis=1)[..., 0])
+        cell_env = np.concatenate([shifted, cell_env], axis=1)
+    cell_grad = np.einsum("kjr,kjr->jr", circuit.run_pauli_t, cell_env).real.ravel()
+    param_grad = np.bincount(circuit.cell_params, weights=cell_grad[circuit.param_cells],
+                             minlength=params.shape[0])
+    if input_gradient:
+        input_grad[:, :circuit.feature_map.shape[1]] = feature_grad.T @ circuit.feature_map
+    return param_grad, input_grad

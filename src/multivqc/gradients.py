@@ -5,7 +5,11 @@ Training differentiates each circuit by the adjoint method (Jones & Gacon,
 arXiv:2009.02823): the forward pass keeps every circuit's final states, and
 one reverse sweep per circuit (``core.adjoint_gradient``) gives the
 vector-Jacobian product of its expectations with respect to its own
-parameters and, past the first circuit, its input angles. Those products are
+parameters and, past the first circuit, its input angles. The sweep runs on
+the segment table the model compiled for that circuit when it was built: it
+undoes whole segments, one fused 2x2 matrix per qubit and one permutation per
+CNOT run, and reads each gate's derivative from its chain's 2x2 environment
+at the segment's end. Those products are
 composed in reverse with the rescaling derivative and the softmax
 cross-entropy cotangent, at the cost of one forward and one reverse pass per
 circuit.
@@ -189,8 +193,8 @@ def batch_loss_gradient(
         inputs, states, _ = passes.pop()  # each circuit's states go once swept
         start = store.offsets[k]
         grad[start:start + store.counts[k]], input_cot = adjoint_gradient(
-            model.stages[k].n_qubits, model.stage_gates[k], store.slice_for(k),
-            inputs, states, cotangent, input_gradient=k > 0)
+            model.stage_circuits[k], store.slice_for(k), inputs, states, cotangent,
+            input_gradient=k > 0)
         if k > 0:
             cotangent = input_cot * rescale_derivative(passes[-1][2], model.config.rescale)
     if not np.all(np.isfinite(grad)):

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GateOp, MAX_QUBITS, run_circuit_batch, expectations_z_batch
+from .core import GateOp, MAX_QUBITS, _compile, expectations_z_batch, run_circuit_batch
 from .errors import ConfigError, check_enum, check_int
 from .params import ParamStore
 from .pipeline import read_json
@@ -142,6 +142,9 @@ class MultiVqcModel:
         built = [build_vqc(s) for s in self.stages]
         self.stage_gates: tuple[tuple[GateOp, ...], ...] = tuple(g for g, _ in built)
         self.param_counts: tuple[int, ...] = tuple(c for _, c in built)
+        # Each circuit's segment table, for the reverse sweep.
+        self.stage_circuits = tuple(_compile(s.n_qubits, g)
+                                    for s, g in zip(self.stages, self.stage_gates))
 
     def new_store(self, rng: np.random.Generator | None = None) -> ParamStore:
         if rng is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multivqc import core, gradients, model as model_module
-from multivqc.core import GateKind, rotation
+from multivqc.core import GateKind, cnot, rotation
 from multivqc.errors import NumericalError
 from multivqc.gradients import (
     SHIFT,
@@ -20,6 +20,7 @@ from multivqc.params import ParamStore
 from multivqc.templates import VqcConfig, build_vqc
 
 import oracles
+from test_core import random_gate_list
 
 
 def random_chain(rng, n_vqcs=None):
@@ -325,9 +326,8 @@ class TestAdjointGradient:
         batch_loss_gradient(model, store, X, y, weights)
         assert rows == {"model": [X.shape[0]] * 3, "gradients": [], "blocks": []}
 
-    def test_forward_uses_no_per_gate_kernel_and_compiles_once(self, monkeypatch):
-        # The forward runs compiled segments: the per-gate kernels belong to
-        # the adjoint sweep, and a gate list seen before is not compiled again.
+    @staticmethod
+    def count_per_gate_kernels(monkeypatch) -> list:
         calls = []
 
         def counting(kernel):
@@ -338,6 +338,12 @@ class TestAdjointGradient:
 
         monkeypatch.setattr(core, "apply_rotation_batch", counting(core.apply_rotation_batch))
         monkeypatch.setattr(core, "apply_cnot_batch", counting(core.apply_cnot_batch))
+        return calls
+
+    def test_forward_uses_no_per_gate_kernel_and_compiles_once(self, monkeypatch):
+        # The forward runs compiled segments: the per-gate kernels are only
+        # references, and a gate list seen before is not compiled again.
+        calls = self.count_per_gate_kernels(monkeypatch)
         config = MultiVqcConfig(n_features=8, n_classes=2, n_vqcs=3, ansatz="strongly",
                                 n_layers=2)
         rng = np.random.default_rng(2012)
@@ -350,3 +356,67 @@ class TestAdjointGradient:
         second = MultiVqcModel(config)
         assert np.array_equal(second.forward_batch(store, X).scores, scores)
         assert core._compile.cache_info().misses == misses
+
+    def test_gradient_step_uses_no_per_gate_kernel_and_no_compile(self, monkeypatch):
+        # The reverse sweep undoes whole segments on the table the model
+        # compiled when it was built.
+        calls = self.count_per_gate_kernels(monkeypatch)
+        rng = np.random.default_rng(2013)
+        model = MultiVqcModel(MultiVqcConfig(n_features=8, n_classes=2, n_vqcs=3,
+                                             ansatz="strongly", n_layers=2))
+        store = model.new_store(rng)
+        X = rng.uniform(0.0, np.pi, size=(5, 8))
+        misses = core._compile.cache_info().misses
+        batch_loss_gradient(model, store, X, rng.integers(0, 2, size=5), np.ones(2))
+        assert calls == []
+        assert core._compile.cache_info().misses == misses
+
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_random_gate_lists_match_shift_reference(self, n_qubits):
+        # Segment shapes no template builds: CNOTs on any pair, CNOT runs
+        # back to back, CNOT-only and CNOT-free lists, one param_id on two
+        # gates, and feature gates after parameter gates in one chain, which
+        # sends the sweep through per-row suffixes. Every n_measured and both
+        # input_gradient settings, against the shift rule.
+        rng = np.random.default_rng(80 + n_qubits)
+        RX, RY, RZ = GateKind.RX, GateKind.RY, GateKind.RZ
+        last = n_qubits - 1
+        circuits = [
+            [rotation(RZ, last, param_id=0), rotation(RY, last, feature_id=1),
+             rotation(RX, last, param_id=0), rotation(RY, last, param_id=2),
+             rotation(RX, last, feature_id=0), rotation(RZ, 0, param_id=1)],
+            [rotation(RY, q, param_id=q % 3) for q in range(n_qubits)]
+            + [rotation(RX, 0, feature_id=2), rotation(RZ, 0, param_id=0)],
+        ]
+        if n_qubits > 1:
+            circuits += [
+                [cnot(0, last), cnot(last, 0)],
+                [rotation(RY, 0, param_id=1), cnot(0, last), cnot(last, 0),
+                 rotation(RX, last, feature_id=2), rotation(RZ, last, param_id=0),
+                 cnot(last, 0), cnot(0, last), rotation(RY, 0, feature_id=0),
+                 rotation(RX, 0, param_id=2), cnot(0, last)],
+            ]
+        circuits += [random_gate_list(rng, n_qubits, int(rng.integers(1, 30)), 3, 3)
+                     for _ in range(6 if n_qubits < 7 else 3)]
+        qubits = range(n_qubits)
+        for gates in circuits:
+            params = rng.uniform(-np.pi, 2 * np.pi, 3)
+            X = rng.uniform(-np.pi, np.pi, size=(int(rng.integers(1, 5)), 3))
+            final = core.run_circuit_batch(n_qubits, gates, params=params, features=X)
+            jac_p = gradients._shift_jacobian(n_qubits, gates, params, X,
+                                              [g.param_id for g in gates], 3, qubits)
+            jac_x = gradients._shift_jacobian(n_qubits, gates, params, X,
+                                              [g.feature_id for g in gates], 3, qubits)
+            circuit = core._compile(n_qubits, tuple(gates))
+            for n_measured in range(1, n_qubits + 1):
+                cot = rng.normal(size=(X.shape[0], n_measured))
+                for input_gradient in (False, True):
+                    grad, input_grad = core.adjoint_gradient(circuit, params, X, final, cot,
+                                                             input_gradient)
+                    expected = np.einsum("bm,bmp->p", cot, jac_p[:, :n_measured])
+                    assert np.max(np.abs(grad - expected)) < 1e-12
+                    if input_gradient:
+                        expected = np.einsum("bm,bmn->bn", cot, jac_x[:, :n_measured])
+                        assert np.max(np.abs(input_grad - expected)) < 1e-12
+                    else:
+                        assert input_grad is None
