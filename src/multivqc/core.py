@@ -11,8 +11,9 @@ Conventions, fixed package-wide and relied on by every test:
 States are (batch, 2**n_qubits) arrays, so a circuit is evaluated for a
 whole batch of feature vectors in one pass.
 
-``run_circuit_batch`` compiles each distinct gate list once (``_compile``)
-into segments: the rotations between two CNOT runs, recorded as one chain
+``run_circuit_batch`` compiles each distinct gate list once (``_compile``),
+checks its source ids and runs the table with ``run_compiled``. A table holds
+segments: the rotations between two CNOT runs, recorded as one chain
 per qubit, and each CNOT run as one basis permutation. A call gathers every
 angle at once, multiplies each chain into one 2x2 matrix (per row only where
 a feature-bound gate is in it) and applies one matrix per qubit and one
@@ -22,6 +23,17 @@ walks the same table backwards: per segment it reads one 2x2 environment per
 chain, then undoes one fused matrix per qubit and one permutation per run.
 The per-gate kernels ``apply_rotation_batch`` and ``apply_cnot_batch`` are
 references for the tests; no circuit run calls them.
+
+Both directions run on batch-last (2**n, batch) states held in one
+grow-only, per-process workspace (``_WORKSPACE``): two state buffers that
+each step reads from one and writes into the other, a half-size temporary,
+and room for the per-row fused matrices. The <Z> readout and the sweep's
+O-weights use the buffers a run leaves free. No kernel allocates a
+state-sized array, so a repeated call of one shape touches no new memory.
+``run_compiled`` returns its final state as a view of the workspace, valid
+only until the next call into this module's kernels; ``run_circuit_batch``
+returns a copy, and ``adjoint_gradient`` fresh arrays. The workspace is not
+shared between threads.
 
 Kernels on large arrays use ``np.multiply``/``np.add`` with ``out=`` or
 in-place operators rather than expressions such as ``a * b + c * d``: an
@@ -34,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -206,14 +219,35 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(4, *out.shape[2:])
 
 
-def _apply_fused(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
-    """Apply the 2x2 matrix ``u`` (4, rows or 1) to ``qubit`` of a (2**n, batch) state."""
-    view = amps.reshape(2**qubit, 2, -1, amps.shape[1])
-    out = np.empty_like(view)
+def _apply_fused(src: np.ndarray, u: np.ndarray, qubit: int, dst: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    """Write the 2x2 matrix ``u`` (4, rows or 1) applied to ``qubit`` of the
+    (2**n, batch) state ``src`` into ``dst``; ``tmp`` holds half a state."""
+    view = src.reshape(2**qubit, 2, -1, src.shape[1])
+    out = dst.reshape(view.shape)
+    part = tmp.reshape(view[:, 0].shape)
     for bit in (0, 1):
         np.multiply(u[2 * bit], view[:, 0], out=out[:, bit])
-        out[:, bit] += np.multiply(u[2 * bit + 1], view[:, 1])
-    return out.reshape(amps.shape)
+        np.multiply(u[2 * bit + 1], view[:, 1], out=part)
+        out[:, bit] += part
+
+
+class _Workspace:
+    """The grow-only complex128 scratch every kernel call writes into."""
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0, dtype=np.complex128)
+
+    def split(self, *sizes: int) -> list[np.ndarray]:
+        """Consecutive flat views of ``buffer`` with the given sizes; the
+        buffer is replaced, by a larger one, only when they do not fit."""
+        ends = list(accumulate(sizes))
+        if self.buffer.size < ends[-1]:
+            self.buffer = np.empty(ends[-1], dtype=np.complex128)
+        return [self.buffer[end - size:end] for size, end in zip(sizes, ends)]
+
+
+_WORKSPACE = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -259,6 +293,12 @@ def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
     index = np.arange(2**n_qubits)
     flip = (index >> (n_qubits - 1 - control)) & 1
     return index ^ (flip << (n_qubits - 1 - target))
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.shape[0])
+    return inverse
 
 
 @lru_cache(maxsize=128)
@@ -339,6 +379,10 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
                     len(segments))
 
     fixed_pauli, feature_pauli = pauli(fixed, 1), pauli(bound, 0)
+    feature_ids = np.array(sources, dtype=np.int64)
+    feature_map = np.zeros((len(sources), max(sources, default=-1) + 1))
+    known = feature_ids >= 0  # a negative id has no column; no run gets past its check
+    feature_map[known, feature_ids[known]] = 1.0
     return _Compiled(
         n_qubits=n_qubits,
         angles=np.array([0.0 if g.angle is None else g.angle for g in fixed] + [0.0]),
@@ -347,7 +391,7 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         param_ids=np.array([g.param_id for g in fixed if g.param_id is not None],
                            dtype=np.int64),
         pauli=fixed_pauli,
-        feature_ids=np.array(sources, dtype=np.int64),
+        feature_ids=feature_ids,
         feature_pauli=feature_pauli,
         runs=table,
         groups=tuple((lead, rows(members, 0), rows(members, 1), min(m[2] for m in members),
@@ -356,14 +400,14 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         first=tuple(first.get(q) for q in range(n_qubits)),
         steps=tuple(zip(perms, placed[1:])),
         segments=tuple(placed),
-        inverses=tuple(np.argsort(perm) for perm in perms),
+        inverses=tuple(_inverse(perm) for perm in perms),
         stops=(earliest(lambda g: g.param_id is not None), earliest(lambda g: g.angle is None)),
         signs=_z_signs(n_qubits, range(n_qubits)).T,
         run_pauli_t=fixed_pauli[[0, 2, 1, 3], :, 0][:, table],
         feature_pauli_t=feature_pauli[[0, 2, 1, 3], :, 0],
         param_cells=np.array([i for i, _ in cells], dtype=np.int64),
         cell_params=np.array([p for _, p in cells], dtype=np.int64),
-        feature_map=np.equal.outer(sources, np.arange(max(sources, default=-1) + 1)) * 1.0,
+        feature_map=feature_map,
     )
 
 
@@ -381,18 +425,33 @@ def _gate_matrices(circuit: _Compiled, params, features):
     return mats, np.cos(half_f), np.sin(half_f)
 
 
-def _fuse(circuit: _Compiled, runs: np.ndarray, cos_f, sin_f, group) -> np.ndarray:
+def _fuse(circuit: _Compiled, runs: np.ndarray, cos_f, sin_f, group,
+          scratch: np.ndarray) -> np.ndarray:
     """U = R_m F_m ... R_0 of each chain of one shape, (4, chains, rows or 1),
-    from the (4, runs, 1) products ``runs`` of the row-independent runs."""
+    from the (4, runs, 1) products ``runs`` of the row-independent runs. A
+    per-row U is written into ``scratch``, flat room for two (4, chains, rows)
+    arrays."""
     lead, run_rows, feature_rows = group[:3]
     u = runs[:, run_rows[0]] if lead else None
+    if not feature_rows.size:
+        return u
+    fused, part = scratch.reshape(2, 4, run_rows.shape[1], -1)
     for j, bound in enumerate(feature_rows):
-        # R_j F_j = cos R_j + sin R_j (-iP): one per-row product per feature gate.
+        # R_j F_j u = cos R_j u + sin R_j (-iP) u: one per-row sum per feature gate.
         r = runs[:, run_rows[j + lead]]
-        rf = np.multiply(cos_f[bound], r)
-        rf += np.multiply(sin_f[bound], _product(r, circuit.feature_pauli[:, bound]))
-        u = rf if u is None else _product(rf, u)
+        rp = _product(r, circuit.feature_pauli[:, bound])
+        if u is not None:
+            r, rp = _product(r, u), _product(rp, u)
+        np.multiply(cos_f[bound], r, out=fused)
+        fused += np.multiply(sin_f[bound], rp, out=part)
+        u = fused
     return u
+
+
+def _fuse_sizes(circuit: _Compiled, rows: int) -> list[int]:
+    """Scratch ``_fuse`` needs for each chain shape at ``rows`` rows."""
+    return [8 * run_rows.shape[1] * rows if feature_rows.size else 0
+            for _, run_rows, feature_rows, _, _ in circuit.groups]
 
 
 def run_circuit_batch(n_qubits: int, gates, params=None,
@@ -418,22 +477,52 @@ def run_circuit_batch(n_qubits: int, gates, params=None,
                "param_id")
     _check_ids(circuit.feature_ids.tolist(), 0 if features is None else features.shape[1],
                "feature_id")
+    # A copy, not ascontiguousarray: at batch 1 the transposed view is
+    # already contiguous and would be the workspace itself.
+    return run_compiled(circuit, params, features, 0)[0].T.copy()
 
+
+def run_compiled(circuit: _Compiled, params: np.ndarray | None,
+                 features: np.ndarray | None,
+                 n_measured: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run a compiled gate list on |0...0> for a batch of feature rows.
+
+    ``params`` and ``features`` are float64 arrays in which the table's
+    source ids resolve, as ``run_circuit_batch`` checks; without
+    ``features`` the batch size is 1. Returns the batch-last (2**n, batch)
+    final state, a view of the workspace valid until the next call into the
+    kernels, and the (batch, n_measured) <Z> of qubits 0..n_measured-1.
+    """
+    batch = 1 if features is None else features.shape[0]
+    size = 2**circuit.n_qubits * batch
+    src, dst, tmp, *scratch = _WORKSPACE.split(size, size, size // 2,
+                                              *_fuse_sizes(circuit, batch))
     mats, cos_f, sin_f = _gate_matrices(circuit, params, features)
     runs = mats[:, circuit.runs[0]]
     for later in circuit.runs[1:]:
         runs = _product(mats[:, later], runs)
-    fused = [_fuse(circuit, runs, cos_f, sin_f, group) for group in circuit.groups]
+    fused = [_fuse(circuit, runs, cos_f, sin_f, group, room)
+             for group, room in zip(circuit.groups, scratch)]
 
+    src, dst = src.reshape(-1, batch), dst.reshape(-1, batch)
     amps = np.ones((1, batch), dtype=np.complex128)
     for chain in circuit.first:
         column = _ZERO_KET if chain is None else fused[chain[0]][[0, 2], chain[1]]
-        amps = np.multiply(amps[:, None], column).reshape(-1, batch)
+        out = dst.reshape(-1)[:2 * amps.size].reshape(-1, 2, batch)
+        amps = np.multiply(amps[:, None], column, out=out).reshape(-1, batch)
+        src, dst = dst, src
     for perm, chains in circuit.steps:
-        amps = amps[perm]
+        np.take(src, perm, axis=0, out=dst, mode="clip")
+        src, dst = dst, src
         for qubit, group, chain in chains:
-            amps = _apply_fused(amps, fused[group][:, chain], qubit)
-    return np.ascontiguousarray(amps.T)
+            _apply_fused(src, fused[group][:, chain], qubit, dst, tmp)
+            src, dst = dst, src
+    # |amplitude|^2 batch-first, in the temporary and the spare state
+    # buffer: the same product as expectations_z_batch, bit for bit.
+    probs = tmp.view(np.float64).reshape(batch, -1)
+    np.square(src.real.T, out=probs)
+    probs += np.square(src.imag.T, out=dst.reshape(-1).view(np.float64)[:size].reshape(batch, -1))
+    return src, probs @ circuit.signs[:, :n_measured]
 
 
 def _dagger(u: np.ndarray) -> np.ndarray:
@@ -451,16 +540,21 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
     """Vector-Jacobian product of one circuit's Z expectations by one reverse sweep.
 
     ``circuit`` is the gate list's ``_compile`` table and ``final`` the
-    (batch, 2**n) output of ``run_circuit_batch`` for these ``params`` and
-    ``features``; ``cotangent`` (batch, n_measured) weights the <Z> of qubits
-    0..n_measured-1. Returns the gradient of sum_bm cotangent[b, m] * <Z_m>_b
+    batch-last (2**n, batch) final state for these ``params`` and
+    ``features``, a copy of what ``run_compiled`` returned: the sweep runs
+    in the workspace, which overwrites any view a kernel returned before,
+    so ``final`` must not be one. ``cotangent`` (batch, n_measured) weights
+    the <Z> of qubits 0..n_measured-1. Returns, as fresh arrays, the
+    gradient of sum_bm cotangent[b, m] * <Z_m>_b
     w.r.t. each parameter, summed over the batch, and, if ``input_gradient``,
     w.r.t. each input angle per row as a (batch, n_features) array; a
     re-uploaded feature sums over its gates.
 
     Adjoint method (Jones & Gacon, arXiv:2009.02823) on the segment table:
     phi starts at the final state and lam at O phi, O = sum_m c_bm Z_m, both
-    stacked in one (2**n, 2 * batch) state. Walking the segments backwards,
+    stacked in one (2**n, 2 * batch) workspace state; the undo steps and
+    inverse gathers alternate between the two state buffers and conj(lam)
+    lives in the temporary. Walking the segments backwards,
     the sweep first reads, for each chain U on qubit q, the 2x2 environment
     E[c, a] = sum over the other qubits of phi[..c..] conj(lam[..a..]); then
     it undoes the segment, U^H on each qubit and the inverse permutation of
@@ -473,7 +567,7 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
     feature-bound gate.
     """
     params = np.asarray(params, dtype=np.float64)
-    batch = final.shape[0]
+    batch = final.shape[1]
     input_grad = np.zeros(features.shape) if input_gradient else None
     stop = circuit.stops[input_gradient]
     if stop == len(circuit.segments):
@@ -492,18 +586,22 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
         for earlier in circuit.runs[-2::-1]:
             suffixes.append(full)
             full = _product(full, mats[:, earlier])
+    size = 2**circuit.n_qubits * 2 * batch
+    stacked, spare, tmp, *scratch = _WORKSPACE.split(size, size, size // 2,
+                                                    *_fuse_sizes(circuit, batch))
     undo = []
-    for group, wanted in zip(circuit.groups, undone):
-        u = _dagger(_fuse(circuit, full, cos_f, sin_f, group)) if wanted else None
+    for group, wanted, room in zip(circuit.groups, undone, scratch):
+        u = _dagger(_fuse(circuit, full, cos_f, sin_f, group, room)) if wanted else None
         undo.append(u if u is None or u.shape[2] == 1 else np.concatenate([u, u], axis=2))
 
-    stacked = np.empty((2**circuit.n_qubits, 2 * batch), dtype=np.complex128)
-    stacked[:, :batch] = final.T
-    np.multiply(final.T, circuit.signs[:, :cotangent.shape[1]] @ cotangent.T,
-                out=stacked[:, batch:])
+    stacked, spare = stacked.reshape(-1, 2 * batch), spare.reshape(-1, 2 * batch)
+    weights = np.matmul(circuit.signs[:, :cotangent.shape[1]], cotangent.T,
+                        out=tmp.view(np.float64)[:size // 2].reshape(-1, batch))
+    stacked[:, :batch] = final
+    np.multiply(final, weights, out=stacked[:, batch:])
     for k in range(len(circuit.segments) - 1, stop - 1, -1):
         chains = circuit.segments[k]
-        lam = stacked[:, batch:].conj() if chains else None
+        lam = np.conjugate(stacked[:, batch:], out=tmp.reshape(-1, batch)) if chains else None
         for qubit, group, chain in chains:
             shape = (2**qubit, 2, -1, batch)
             env = envs[group]
@@ -513,8 +611,10 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
         if k == stop:
             break
         for qubit, group, chain in chains:
-            stacked = _apply_fused(stacked, undo[group][:, chain], qubit)
-        stacked = stacked[circuit.inverses[k - 1]]
+            _apply_fused(stacked, undo[group][:, chain], qubit, spare, tmp)
+            stacked, spare = spare, stacked
+        np.take(stacked, circuit.inverses[k - 1], axis=0, out=spare, mode="clip")
+        stacked, spare = spare, stacked
 
     # Walk each chain shape from its last run leftwards while an earlier gate
     # still needs a gradient: m is Suf^H E Suf at the current position. Left

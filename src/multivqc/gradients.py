@@ -2,10 +2,11 @@
 shift as the reference.
 
 Training differentiates each circuit by the adjoint method (Jones & Gacon,
-arXiv:2009.02823): the forward pass keeps every circuit's final states, and
-one reverse sweep per circuit (``core.adjoint_gradient``) gives the
-vector-Jacobian product of its expectations with respect to its own
-parameters and, past the first circuit, its input angles. The sweep runs on
+arXiv:2009.02823): the forward pass copies every circuit's final states
+out of the core workspace, and one reverse sweep per circuit
+(``core.adjoint_gradient``) gives the vector-Jacobian product of its
+expectations with respect to its own parameters and, past the first
+circuit, its input angles. The sweep runs on
 the segment table the model compiled for that circuit when it was built: it
 undoes whole segments, one fused 2x2 matrix per qubit and one permutation per
 CNOT run, and reads each gate's derivative from its chain's 2x2 environment
@@ -179,7 +180,8 @@ def batch_loss_gradient(
     by one forward and one adjoint sweep per circuit."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    passes = list(model.iter_stages(store, features))
+    passes = [(inputs, state.copy(), exp)
+              for inputs, state, exp in model.iter_stages(store, features)]
     for k, (_, _, exp) in enumerate(passes):
         if not np.all(np.isfinite(exp)):
             raise NumericalError(f"non-finite expectation values from circuit {k}")

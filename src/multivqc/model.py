@@ -20,13 +20,18 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GateOp, MAX_QUBITS, _compile, expectations_z_batch, run_circuit_batch
+from . import core
+from .core import GateOp, MAX_QUBITS, _compile, run_compiled
 from .errors import ConfigError, check_enum, check_int
 from .params import ParamStore
 from .pipeline import read_json
 from .templates import Ansatz, Encoding, VqcConfig, build_vqc
 
 PROB_FLOOR = 1e-12
+# The layer sites bench/tracer.py wraps on this module. The forward calls
+# run_compiled instead, so those spans read 0 until the sites move to it.
+run_circuit_batch = core.run_circuit_batch
+expectations_z_batch = core.expectations_z_batch
 MODEL_FORMAT = "multivqc-model/1"
 _ARCCOS_CLAMP = 1.0 - 1e-9
 
@@ -142,7 +147,7 @@ class MultiVqcModel:
         built = [build_vqc(s) for s in self.stages]
         self.stage_gates: tuple[tuple[GateOp, ...], ...] = tuple(g for g, _ in built)
         self.param_counts: tuple[int, ...] = tuple(c for _, c in built)
-        # Each circuit's segment table, for the reverse sweep.
+        # Each circuit's segment table, run by the forward and the reverse sweep.
         self.stage_circuits = tuple(_compile(s.n_qubits, g)
                                     for s, g in zip(self.stages, self.stage_gates))
 
@@ -151,22 +156,14 @@ class MultiVqcModel:
             return ParamStore(self.param_counts)
         return ParamStore.random_init(self.param_counts, rng)
 
-    def _run_stage(
-        self, stage: int, inputs: np.ndarray, stage_params: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.stages[stage]
-        amps = run_circuit_batch(
-            cfg.n_qubits, self.stage_gates[stage], params=stage_params, features=inputs,
-        )
-        return amps, expectations_z_batch(amps, range(cfg.n_measured), cfg.n_qubits)
-
     def iter_stages(self, store: ParamStore, features: np.ndarray):
         """Run the chain one circuit at a time, yielding (inputs, final
         states, expectations) per circuit in chain order.
 
         The one forward loop shared by ``forward_batch`` and the training
-        gradient: a caller that does not keep the yielded states lets each
-        one go as soon as its expectations are read."""
+        gradient. The final states are batch-last (2**n, batch) views of the
+        core workspace, valid only until the generator advances: a caller
+        that keeps them copies them first."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.n_features:
             raise ConfigError(
@@ -180,17 +177,16 @@ class MultiVqcModel:
             )
         inputs = features
         for k in range(self.config.n_vqcs):
-            amps, exp = self._run_stage(k, inputs, store.slice_for(k))
-            yield inputs, amps, exp
-            del amps
+            state, exp = run_compiled(self.stage_circuits[k], store.slice_for(k), inputs,
+                                      self.stages[k].n_measured)
+            yield inputs, state, exp
             if k < self.config.n_vqcs - 1:
                 inputs = rescale_expectations(exp, self.config.rescale)
 
     def forward_batch(self, store: ParamStore, features: np.ndarray) -> ForwardTrace:
         inputs: list[np.ndarray] = []
         expectations: list[np.ndarray] = []
-        for stage_inputs, state, exp in self.iter_stages(store, features):
-            del state  # forward only: no state outlives its expectations
+        for stage_inputs, _, exp in self.iter_stages(store, features):
             inputs.append(stage_inputs)
             expectations.append(exp)
         scores = expectations[-1]

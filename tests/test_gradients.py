@@ -306,19 +306,22 @@ class TestAdjointGradient:
 
     def test_one_circuit_run_per_stage_and_no_shifted_runs(self, monkeypatch):
         # Guards the work shape: the gradient reuses the forward states and
-        # never falls back to O(parameters) shifted circuit runs.
+        # never falls back to O(parameters) shifted circuit runs. The model
+        # runs its compiled tables, which return (state, expectations).
         rows = {"model": [], "gradients": [], "blocks": []}
-        runners = {"model": core.run_circuit_batch, "gradients": core.run_circuit_batch,
-                   "blocks": gradients.run_circuit_blocks}
+        runners = {"model": (core.run_compiled, lambda out: out[1].shape[0]),
+                   "gradients": (core.run_circuit_batch, lambda out: out.shape[0]),
+                   "blocks": (gradients.run_circuit_blocks, lambda out: out.shape[0])}
 
         def counting(name):
             def wrapper(*args, **kwargs):
-                out = runners[name](*args, **kwargs)
-                rows[name].append(out.shape[0])
+                runner, batch_of = runners[name]
+                out = runner(*args, **kwargs)
+                rows[name].append(batch_of(out))
                 return out
             return wrapper
 
-        monkeypatch.setattr(model_module, "run_circuit_batch", counting("model"))
+        monkeypatch.setattr(model_module, "run_compiled", counting("model"))
         monkeypatch.setattr(gradients, "run_circuit_batch", counting("gradients"))
         monkeypatch.setattr(gradients, "run_circuit_blocks", counting("blocks"))
         rng = np.random.default_rng(2011)
@@ -371,6 +374,63 @@ class TestAdjointGradient:
         assert calls == []
         assert core._compile.cache_info().misses == misses
 
+    def test_repeated_calls_of_one_shape_reuse_the_workspace(self):
+        # Every kernel writes into one grow-only workspace: a second forward
+        # or gradient step of a shape already seen allocates no new buffer.
+        rng = np.random.default_rng(2014)
+        model = MultiVqcModel(MultiVqcConfig(n_features=8, n_classes=2, n_vqcs=3,
+                                             ansatz="strongly", n_layers=2))
+        store = model.new_store(rng)
+        X = rng.uniform(0.0, np.pi, size=(179, 8))
+        y = rng.integers(0, 2, size=179)
+        for step in (lambda: model.predict_batch(store, X),
+                     lambda: batch_loss_gradient(model, store, X, y, np.ones(2))):
+            step()
+            buffer = core._WORKSPACE.buffer
+            step()
+            assert core._WORKSPACE.buffer is buffer
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_results_never_alias_the_workspace(self, batch, monkeypatch):
+        # At batch 1 a transposed (2**n, 1) workspace view is already
+        # contiguous, so only an explicit copy keeps a result out of it.
+        rng = np.random.default_rng(2015 + batch)
+        model = MultiVqcModel(MultiVqcConfig(n_features=3, n_classes=2, n_vqcs=3,
+                                             ansatz="strongly", n_layers=2))
+        store = model.new_store(rng)
+        X = rng.uniform(0.0, np.pi, size=(batch, 3))
+        y = rng.integers(0, 2, size=batch)
+        gates = model.stage_gates[0]
+        first = core.run_circuit_batch(3, gates, params=store.slice_for(0), features=X)
+        kept = first.copy()
+        core.run_circuit_batch(3, [rotation(GateKind.RY, 0, angle=0.3), cnot(0, 2)])
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, core._WORKSPACE.buffer)
+
+        # Each state the gradient step keeps for its sweep is the forward's
+        # state of that circuit, although later circuits and sweeps ran since.
+        # A first step grows the workspace, so the references and the checked
+        # step below all run in the buffer the check looks at.
+        batch_loss_gradient(model, store, X, y, np.ones(2))
+        inputs = model.forward_batch(store, X).stage_inputs
+        expected = [core.run_circuit_batch(3, model.stage_gates[k], params=store.slice_for(k),
+                                           features=inputs[k]).T for k in range(3)]
+        swept = []
+
+        def checking(circuit, params, features, final, cotangent, input_gradient=True):
+            k = 2 - len(swept)
+            assert not np.shares_memory(final, core._WORKSPACE.buffer)
+            swept.append(np.array_equal(final, expected[k]))
+            grad, input_grad = core.adjoint_gradient(circuit, params, features, final,
+                                                     cotangent, input_gradient)
+            for out in (grad, input_grad):
+                assert out is None or not np.shares_memory(out, core._WORKSPACE.buffer)
+            return grad, input_grad
+
+        monkeypatch.setattr(gradients, "adjoint_gradient", checking)
+        batch_loss_gradient(model, store, X, y, np.ones(2))
+        assert swept == [True, True, True]
+
     @pytest.mark.parametrize("n_qubits", range(1, 9))
     def test_random_gate_lists_match_shift_reference(self, n_qubits):
         # Segment shapes no template builds: CNOTs on any pair, CNOT runs
@@ -411,7 +471,7 @@ class TestAdjointGradient:
             for n_measured in range(1, n_qubits + 1):
                 cot = rng.normal(size=(X.shape[0], n_measured))
                 for input_gradient in (False, True):
-                    grad, input_grad = core.adjoint_gradient(circuit, params, X, final, cot,
+                    grad, input_grad = core.adjoint_gradient(circuit, params, X, final.T, cot,
                                                              input_gradient)
                     expected = np.einsum("bm,bmp->p", cot, jac_p[:, :n_measured])
                     assert np.max(np.abs(grad - expected)) < 1e-12
