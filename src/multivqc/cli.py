@@ -5,9 +5,13 @@ JSON file merged over built-in defaults, with dotted flag overrides such as
 `--train.learning-rate 0.05` or `--model.n-vqcs=3`. Exit codes: 0 success,
 1 configuration error, 2 data error, 3 numerical failure.
 
+Every command checks every config leaf against ``LEAVES``, whether it reads
+the leaf or not, and ``eval`` checks the saved run's config the same way.
+
 All artifacts are timestamp-free CSV/JSON with stable key ordering, so a
-rerun with the same config and seed is byte-identical. The output directory
-comes from the config (`output_dir`) unless MULTIVQC_OUTPUT_DIR is set.
+rerun with the same config and seed is byte-identical, and each is written
+atomically. The output directory comes from the config (`output_dir`) unless
+MULTIVQC_OUTPUT_DIR is set.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import numbers
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .baseline import fit_logreg, logreg_split_metrics
@@ -27,12 +31,13 @@ from .errors import (
     DataError,
     MultiVqcError,
     NumericalError,
-    check_enum,
+    check_bool,
     check_int,
     check_str,
 )
 from .metrics import evaluate
 from .model import (
+    MODEL_CHECKS,
     MultiVqcConfig,
     MultiVqcModel,
     Rescale,
@@ -40,20 +45,24 @@ from .model import (
     save_model,
 )
 from .pipeline import (
-    ANGLE_RANGES,
+    PIPELINE_CHECKS,
     Dataset,
     Pipeline,
     SplitDataset,
     explained_variance_table,
     load_csv,
     load_schema,
+    open_atomic,
     read_json,
     split,
+    write_json as _write_json,
 )
 from .training import (
+    TRAIN_CHECKS,
     SweepRow,
     TrainConfig,
     build_grid,
+    check_counts,
     compute_class_weights,
     rank_rows,
     run_cells,
@@ -68,36 +77,60 @@ from .training import (
 
 OUTPUT_DIR_ENV = "MULTIVQC_OUTPUT_DIR"
 
-DEFAULT_CONFIG: dict = {
-    "dataset": "prostate",
-    "schema": None,
-    "n_components": 3,
-    "angle_range": "0_pi",
-    "split": {"fractions": [0.6, 0.2, 0.2], "seed": 0},
-    "model": {
-        "n_vqcs": 1,
-        "encoding": "RY",
-        "ansatz": "basic",
-        "n_layers": 1,
-        "reuploading": True,
-        "rescale": "pi",
-    },
-    "train": {
-        "max_epochs": 100,
-        "patience": 5,
-        "learning_rate": 0.01,
-        "batch_size": 16,
-        "seed": 0,
-    },
-    "sweep": {
-        "feature_counts": [2, 3],
-        "vqc_counts": [1, 2, 3],
-        "max_layers": 20,
-        "workers": 1,
-        "include_baseline": True,
-    },
-    "output_dir": "multivqc-out",
+
+# Every config leaf: dotted path -> (default, check). DEFAULT_CONFIG is built
+# from the defaults, and check_config runs every check whichever command runs.
+# A check takes the dotted path and the value and raises ConfigError naming
+# the path; the model.*, train.* and split.* checks are the ones
+# MultiVqcConfig, TrainConfig and split run themselves.
+LEAVES = {
+    "dataset": ("prostate", check_str),
+    "schema": (None, lambda name, value: value if value is None else check_str(name, value)),
+    "n_components": (3, PIPELINE_CHECKS["n_components"]),
+    "angle_range": ("0_pi", PIPELINE_CHECKS["angle_range"]),
+    "split.fractions": ([0.6, 0.2, 0.2], PIPELINE_CHECKS["fractions"]),
+    "split.seed": (0, PIPELINE_CHECKS["seed"]),
+    "model.n_vqcs": (1, MODEL_CHECKS["n_vqcs"]),
+    "model.encoding": ("RY", MODEL_CHECKS["encoding"]),
+    "model.ansatz": ("basic", MODEL_CHECKS["ansatz"]),
+    "model.n_layers": (1, MODEL_CHECKS["n_layers"]),
+    "model.reuploading": (True, MODEL_CHECKS["reuploading"]),
+    "model.rescale": ("pi", MODEL_CHECKS["rescale"]),
+    "train.max_epochs": (100, TRAIN_CHECKS["max_epochs"]),
+    "train.patience": (5, TRAIN_CHECKS["patience"]),
+    "train.learning_rate": (0.01, TRAIN_CHECKS["learning_rate"]),
+    "train.batch_size": (16, TRAIN_CHECKS["batch_size"]),
+    "train.seed": (0, TRAIN_CHECKS["seed"]),
+    "sweep.feature_counts": ([2, 3], check_counts),
+    "sweep.vqc_counts": ([1, 2, 3], check_counts),
+    "sweep.max_layers": (20, partial(check_int, low=1)),
+    "sweep.workers": (1, partial(check_int, low=1)),
+    "sweep.include_baseline": (True, check_bool),
+    "output_dir": ("multivqc-out", check_str),
 }
+
+
+def _default_config() -> dict:
+    config: dict = {}
+    for path, (default, _) in LEAVES.items():
+        section, _, key = path.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[key] = default
+    return config
+
+
+DEFAULT_CONFIG: dict = _default_config()
+
+
+def check_config(config, where: str) -> None:
+    """Run every leaf's check on ``config``; a missing leaf is a ConfigError
+    naming ``where`` and the leaf's dotted path."""
+    for path, (_, check) in LEAVES.items():
+        value = config
+        for key in path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise ConfigError(f"{where} lacks key {path!r}")
+            value = value[key]
+        check(path, value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,15 +191,20 @@ def parse_overrides(tokens: list[str]) -> dict:
     return overrides
 
 
-def load_run_config(config_path: str | None, override_tokens: list[str]) -> dict:
+def load_run_config(config_path: str | None, override_tokens: list[str],
+                    flags: dict | None = None) -> dict:
+    """The defaults, with the config file, the dotted overrides and a
+    command's own ``flags`` merged over them in that order, every leaf
+    checked."""
     config = DEFAULT_CONFIG
     if config_path is not None:
         file_config = read_json(config_path, "config file")
         if not isinstance(file_config, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         config = _deep_merge(config, file_config)
-    config = _deep_merge(config, parse_overrides(override_tokens))
-    check_str("output_dir", config["output_dir"])
+    for overlay in (parse_overrides(override_tokens), flags or {}):
+        config = _deep_merge(config, overlay)
+    check_config(config, "config")
     return config
 
 
@@ -176,21 +214,9 @@ def _output_dir(config: dict) -> Path:
     return path
 
 
-def _angle_range(config: dict) -> tuple[float, float]:
-    value = config["angle_range"]
-    if isinstance(value, str) and value in ANGLE_RANGES:
-        return ANGLE_RANGES[value]
-    if (isinstance(value, list) and len(value) == 2
-            and not any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value)
-            and all(abs(v) <= sys.float_info.max for v in value)):  # finite, fits a float
-        return float(value[0]), float(value[1])
-    raise ConfigError(f"angle_range must be one of {sorted(ANGLE_RANGES)} or a "
-                      f"[low, high] pair of finite numbers, got {value!r}")
-
-
 def _load_raw_dataset(config: dict) -> tuple[Dataset, str, str]:
     """Returns (dataset, source description, resolved path)."""
-    name_or_path = check_str("dataset", config["dataset"])
+    name_or_path = config["dataset"]
     if name_or_path in DATASET_NAMES:
         resolved = resolve_dataset(name_or_path)
         dataset = load_csv(str(resolved.csv_path), resolved.schema)
@@ -200,8 +226,7 @@ def _load_raw_dataset(config: dict) -> tuple[Dataset, str, str]:
             f"dataset {name_or_path!r} is not a built-in name "
             f"({', '.join(DATASET_NAMES)}); loading a CSV path needs 'schema'"
         )
-    schema = load_schema(check_str("schema", config["schema"]))
-    return load_csv(name_or_path, schema), "external", name_or_path
+    return load_csv(name_or_path, load_schema(config["schema"])), "external", name_or_path
 
 
 def _announce_source(dataset: Dataset, source: str, path: str) -> None:
@@ -236,23 +261,16 @@ def _encode_with(pipe: Pipeline, raw: SplitDataset) -> SplitDataset:
 
 
 def _encode_splits(raw: SplitDataset, n_components: int,
-                   angle_range: tuple[float, float]) -> tuple[SplitDataset, Pipeline]:
+                   angle_range: str | list[float]) -> tuple[SplitDataset, Pipeline]:
     pipe = Pipeline(n_components, angle_range).fit(raw.train.features)
     return _encode_with(pipe, raw), pipe
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_csv(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
         writer.writeheader()
-        for record in records:
-            writer.writerow(record)
+        writer.writerows(records)
 
 
 METRICS_CSV_COLUMNS = ("dataset", "n_components", "split_seed", "train_seed",
@@ -276,9 +294,8 @@ def _resolved_config_payload(config: dict, source: str, path: str) -> dict:
 
 
 def cmd_pca_report(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args.overrides)
-    if args.dataset is not None:
-        config = _deep_merge(config, {"dataset": args.dataset})
+    config = load_run_config(args.config, args.overrides,
+                             {} if args.dataset is None else {"dataset": args.dataset})
     dataset, source, path = _load_raw_dataset(config)
     _announce_source(dataset, source, path)
     table = explained_variance_table(dataset.features)
@@ -302,7 +319,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     tcfg = TrainConfig(**config["train"])
     raw_split, source, path = _load_split(config)
     encoded, pipe = _encode_splits(raw_split, config["n_components"],
-                                   _angle_range(config))
+                                   config["angle_range"])
     report = train(model_cfg, encoded, tcfg)
     out = _output_dir(config)
     _write_json(out / "resolved_config.json",
@@ -328,21 +345,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_keys(config, defaults: dict, where: str, prefix: str = "") -> None:
-    """ConfigError naming the first key of ``defaults`` that ``config`` lacks."""
-    for key, default in defaults.items():
-        if not isinstance(config, dict) or key not in config:
-            raise ConfigError(f"{where} lacks key {prefix + key!r}")
-        if isinstance(default, dict):
-            _require_keys(config[key], default, where, f"{prefix}{key}.")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     config_path = run_dir / "resolved_config.json"
     payload = read_json(config_path, "run config")
-    _require_keys(payload, {"config": DEFAULT_CONFIG}, f"run config {config_path}")
+    if not isinstance(payload, dict) or "config" not in payload:
+        raise ConfigError(f"run config {config_path} lacks key 'config'")
     config = payload["config"]
+    check_config(config, f"run config {config_path}")
     raw_split, _, _ = _load_split(config)
     pipe = Pipeline.from_json_dict(read_json(run_dir / "pipeline.json", "pipeline file"))
     model, store = load_model(str(run_dir / "model.json"))
@@ -364,13 +374,6 @@ SUMMARY_CSV_COLUMNS = ("features", "group", "model", "encoding", "ansatz",
                        "test_precision", "test_recall")
 
 
-def _sweep_counts(sweep_cfg: dict, key: str) -> tuple[int, ...]:
-    values = sweep_cfg[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep.{key} must be a list of integers, got {values!r}")
-    return tuple(check_int(f"sweep.{key} entry", v, 1) for v in values)
-
-
 def _read_marker(path: Path, base_seed: int, index: int, identity: tuple) -> SweepRow:
     """The row a finished cell's marker holds. The marker must have the cell
     marker format and the sweep's seed, and its row must be complete and be
@@ -390,34 +393,25 @@ def _read_marker(path: Path, base_seed: int, index: int, identity: tuple) -> Swe
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args.overrides)
-    if args.workers is not None:
-        config = _deep_merge(config, {"sweep": {"workers": args.workers}})
+    config = load_run_config(args.config, args.overrides, {} if args.workers is None
+                             else {"sweep": {"workers": args.workers}})
     sweep_cfg = config["sweep"]
-    feature_counts = _sweep_counts(sweep_cfg, "feature_counts")
-    vqc_counts = _sweep_counts(sweep_cfg, "vqc_counts")
-    max_layers = check_int("sweep.max_layers", sweep_cfg["max_layers"], 1)
-    workers = check_int("sweep.workers", sweep_cfg["workers"], 1)
-    include_baseline = sweep_cfg["include_baseline"]
-    if not isinstance(include_baseline, bool):
-        raise ConfigError(f"sweep.include_baseline must be a boolean, got {include_baseline!r}")
+    feature_counts = tuple(sweep_cfg["feature_counts"])
     tcfg = TrainConfig(**config["train"])
-    rescale = check_enum("model.rescale", Rescale, config["model"]["rescale"])
-    grid = build_grid(feature_counts, vqc_counts)
+    grid = build_grid(feature_counts, tuple(sweep_cfg["vqc_counts"]))
     # Every row of the table by cell index, as (model, features, n_vqcs, encoding,
     # ansatz, reuploading): the grid cells, then a logistic baseline per width.
     expected = {cell.index: ("multivqc", cell.features, cell.n_vqcs,
                              cell.encoding.value, cell.ansatz.value, cell.reuploading)
                 for cell in grid}
-    if include_baseline:
+    if sweep_cfg["include_baseline"]:
         expected.update((len(grid) + offset, ("logreg", k, None, None, None, None))
                         for offset, k in enumerate(feature_counts))
     if not expected:
         raise ConfigError("the sweep has no rows to run: sweep.feature_counts is empty, "
                           "or sweep.vqc_counts is empty and include_baseline is false")
     raw_split, _, _ = _load_split(config)
-    angle_range = _angle_range(config)
-    datasets_by_width = {k: _encode_splits(raw_split, k, angle_range)[0]
+    datasets_by_width = {k: _encode_splits(raw_split, k, config["angle_range"])[0]
                          for k in feature_counts}
 
     out = _output_dir(config)
@@ -433,9 +427,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 for index, identity in expected.items() if marker(index).is_file()}
     pending = tuple(cell for cell in grid if cell.index not in done)
     print(f"sweep: {len(expected)} rows ({len(done)} already done, "
-          f"{len(expected) - len(done)} to run), {workers} worker(s)")
-    fresh = run_cells(pending, datasets_by_width, tcfg, rescale=rescale,
-                      max_layers=max_layers, max_workers=workers)
+          f"{len(expected) - len(done)} to run), {sweep_cfg['workers']} worker(s)")
+    fresh = run_cells(pending, datasets_by_width, tcfg,
+                      rescale=Rescale(config["model"]["rescale"]),
+                      max_layers=sweep_cfg["max_layers"], max_workers=sweep_cfg["workers"])
     for index, (model, k, *_) in expected.items():
         if model != "logreg" or index in done:
             continue
@@ -488,7 +483,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
     raw_split, source, _ = _load_split(config)
     encoded, _ = _encode_splits(raw_split, config["n_components"],
-                                _angle_range(config))
+                                config["angle_range"])
     tcfg = TrainConfig(**config["train"])
     report = fit_logreg(encoded, tcfg=tcfg)
     out = _output_dir(config)

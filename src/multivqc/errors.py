@@ -36,7 +36,8 @@ def check_int(name: str, value, low: int, high: float = float("inf")) -> int:
     """``value`` if it is an integer (not a bool) in the range ``low..high``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or not low <= value <= high):
-        raise ConfigError(f"{name} must be in {low}..{high}, got {value!r}")
+        bounds = f">= {low}" if high == float("inf") else f"in {low}..{high}"
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
     return value
 
 
@@ -47,7 +48,14 @@ def check_str(name: str, value) -> str:
     return value
 
 
-def check_enum(name: str, enum_type, value):
+def check_bool(name: str, value) -> bool:
+    """``value`` if it is true or false."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def check_enum(name: str, value, enum_type):
     """``value`` as a member of ``enum_type``."""
     try:
         return enum_type(value)

@@ -14,17 +14,17 @@ with an angle encoding step).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from . import core
 from .core import GateOp, MAX_QUBITS, _compile, run_compiled
-from .errors import ConfigError, check_enum, check_int
+from .errors import ConfigError, check_bool, check_enum, check_int
 from .params import ParamStore
-from .pipeline import read_json
+from .pipeline import read_json, write_json
 from .templates import Ansatz, Encoding, VqcConfig, build_vqc
 
 PROB_FLOOR = 1e-12
@@ -62,6 +62,26 @@ def rescale_derivative(values: np.ndarray, mode: Rescale) -> np.ndarray:
     return np.ones_like(values)
 
 
+def _check_layers(name: str, value) -> int | tuple[int, ...]:
+    if isinstance(value, (tuple, list)):
+        return tuple(check_int(f"{name} entry", v, 1) for v in value)
+    return check_int(name, value, 1)
+
+
+# One check per MultiVqcConfig field, returning the field's stored value. The
+# CLI's config table points its model.* leaves at the same checks.
+MODEL_CHECKS = {
+    "n_features": partial(check_int, low=2, high=MAX_QUBITS),
+    "n_classes": partial(check_int, low=2),
+    "n_vqcs": partial(check_int, low=1),
+    "encoding": partial(check_enum, enum_type=Encoding),
+    "ansatz": partial(check_enum, enum_type=Ansatz),
+    "n_layers": _check_layers,
+    "reuploading": check_bool,
+    "rescale": partial(check_enum, enum_type=Rescale),
+}
+
+
 @dataclass(frozen=True)
 class MultiVqcConfig:
     """Shape of the whole chain.
@@ -80,29 +100,18 @@ class MultiVqcConfig:
     rescale: Rescale = Rescale.PI
 
     def __post_init__(self) -> None:
-        check_int("n_features", self.n_features, 2, MAX_QUBITS)
-        check_int("n_classes", self.n_classes, 2)
+        for field, check in MODEL_CHECKS.items():
+            object.__setattr__(self, field, check(field, getattr(self, field)))
         if self.n_classes > self.n_features:
             raise ConfigError(
                 f"need one measured qubit per class: n_classes {self.n_classes} "
                 f"exceeds qubit count {self.n_features}"
             )
-        check_int("n_vqcs", self.n_vqcs, 1)
-        if isinstance(self.n_layers, (tuple, list)):
-            layers = tuple(check_int("n_layers entry", v, 1) for v in self.n_layers)
-            if len(layers) != self.n_vqcs:
-                raise ConfigError(
-                    f"per-circuit n_layers has {len(layers)} entries for "
-                    f"{self.n_vqcs} circuits"
-                )
-            object.__setattr__(self, "n_layers", layers)
-        else:
-            check_int("n_layers", self.n_layers, 1)
-        if not isinstance(self.reuploading, bool):
-            raise ConfigError(f"reuploading must be true or false, got {self.reuploading!r}")
-        object.__setattr__(self, "encoding", check_enum("encoding", Encoding, self.encoding))
-        object.__setattr__(self, "ansatz", check_enum("ansatz", Ansatz, self.ansatz))
-        object.__setattr__(self, "rescale", check_enum("rescale", Rescale, self.rescale))
+        if isinstance(self.n_layers, tuple) and len(self.n_layers) != self.n_vqcs:
+            raise ConfigError(
+                f"per-circuit n_layers has {len(self.n_layers)} entries for "
+                f"{self.n_vqcs} circuits"
+            )
 
     def layers_for_stage(self, stage: int) -> int:
         if isinstance(self.n_layers, tuple):
@@ -272,9 +281,7 @@ def model_from_json_dict(payload: dict) -> tuple[MultiVqcModel, ParamStore]:
 
 
 def save_model(path: str, config: MultiVqcConfig, store: ParamStore) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(config, store), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_json_dict(config, store))
 
 
 def load_model(path: str) -> tuple[MultiVqcModel, ParamStore]:

@@ -19,8 +19,14 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
+import sys
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
+from functools import partial
+from typing import TextIO
 
 import numpy as np
 
@@ -32,6 +38,40 @@ ANGLE_RANGES: dict[str, tuple[float, float]] = {
     "0_pi": (0.0, np.pi),
     "0_2pi": (0.0, 2.0 * np.pi),
     "-pi_pi": (-np.pi, np.pi),
+}
+
+
+def _check_angle_range(name: str, value) -> tuple[float, float]:
+    """The (low, high) pair of ``value``: a name from ANGLE_RANGES, or a pair
+    of finite numbers with low < high."""
+    if isinstance(value, str) and value in ANGLE_RANGES:
+        return ANGLE_RANGES[value]
+    if (isinstance(value, (list, tuple)) and len(value) == 2
+            and not any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value)
+            and all(abs(v) <= sys.float_info.max for v in value)  # finite, fits a float
+            and float(value[0]) < float(value[1])):
+        return float(value[0]), float(value[1])
+    raise ConfigError(f"{name} must be one of {sorted(ANGLE_RANGES)} or a [low, high] "
+                      f"pair of finite numbers with low < high, got {value!r}")
+
+
+def _check_fractions(name: str, value) -> tuple[float, float, float]:
+    """``value`` as three floats in (0, 1]: split fractions before their sum
+    is checked."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 3
+            or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in value)
+            or any(not 0.0 < f <= 1.0 for f in value)):  # also rejects NaN and huge ints
+        raise ConfigError(f"{name} must be three numbers in (0, 1], got {value!r}")
+    return tuple(float(f) for f in value)
+
+
+# One check per config value the pipeline reads, returning the value as used.
+# The CLI's config table points its leaves at the same checks.
+PIPELINE_CHECKS = {
+    "n_components": partial(check_int, low=1),
+    "angle_range": _check_angle_range,
+    "fractions": _check_fractions,
+    "seed": partial(check_int, low=0),
 }
 
 
@@ -99,6 +139,26 @@ def read_json(path, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+@contextmanager
+def open_atomic(path) -> Iterator[TextIO]:
+    """A file written beside ``path`` that replaces it by ``os.replace`` when
+    the block ends; if the block raises, it is removed and ``path`` is kept."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        with suppress(FileNotFoundError):  # gone once replaced
+            os.remove(temp)
+
+
+def write_json(path, payload) -> None:
+    with open_atomic(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 PROFILE_KEYS = ("expected_rows", "expected_features", "expected_class1")
 
 
@@ -106,26 +166,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Every schema key load_csv reads, with what its value must be. Only "name"
+# and "label_column" are required.
+SCHEMA_KEYS = {
+    "name": ("a file name: a string other than '', '.' and '..', without '/' or '\\'",
+             lambda v: isinstance(v, str) and v not in ("", ".", "..")
+             and not set("/\\") & set(v)),
+    "label_column": ("a string", lambda v: isinstance(v, str)),
+    "label_mapping": ("an object mapping labels to integers",
+                      lambda v: isinstance(v, dict) and all(_is_int(x) for x in v.values())),
+    "drop_columns": ("a list of strings",
+                     lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v)),
+    **{key: ("an integer", _is_int) for key in PROFILE_KEYS},
+}
+
+
 def load_schema(path: str) -> dict:
     """Read a dataset schema file, type-checking every key ``load_csv`` reads."""
     schema = read_json(path, "schema file")
     if not isinstance(schema, dict) or "name" not in schema or "label_column" not in schema:
         raise ConfigError(f"schema file {path} needs 'name' and 'label_column'")
-    mapping = schema.get("label_mapping", {})
-    drop = schema.get("drop_columns", [])
-    name = schema["name"]
-    checks = [
-        ("name", "a file name: a string other than '', '.' and '..', without '/' or '\\'",
-         isinstance(name, str) and name not in ("", ".", "..") and not set("/\\") & set(name)),
-        ("label_column", "a string", isinstance(schema["label_column"], str)),
-        ("label_mapping", "an object mapping labels to integers",
-         isinstance(mapping, dict) and all(_is_int(v) for v in mapping.values())),
-        ("drop_columns", "a list of strings",
-         isinstance(drop, list) and all(isinstance(c, str) for c in drop)),
-        *((key, "an integer", _is_int(schema.get(key, 0))) for key in PROFILE_KEYS),
-    ]
-    for key, what, ok in checks:
-        if not ok:
+    for key, (what, ok) in SCHEMA_KEYS.items():
+        if key in schema and not ok(schema[key]):
             raise ConfigError(
                 f"schema file {path}: {key!r} must be {what}, got {schema[key]!r}")
     return schema
@@ -297,12 +359,9 @@ class Pipeline:
     """
 
     def __init__(self, n_components: int,
-                 angle_range: tuple[float, float] = ANGLE_RANGES["0_pi"]):
-        self.n_components = check_int("n_components", n_components, 1)
-        low, high = float(angle_range[0]), float(angle_range[1])
-        if not -np.inf < low < high < np.inf:
-            raise ConfigError(f"invalid angle range ({low}, {high})")
-        self.angle_range = (low, high)
+                 angle_range: str | tuple[float, float] = ANGLE_RANGES["0_pi"]):
+        self.n_components = PIPELINE_CHECKS["n_components"]("n_components", n_components)
+        self.angle_range = PIPELINE_CHECKS["angle_range"]("angle_range", angle_range)
         self.fitted: dict[str, dict[str, np.ndarray]] | None = None
 
     def fit(self, train_features: np.ndarray) -> "Pipeline":
@@ -387,13 +446,8 @@ def split(dataset: Dataset, fractions: tuple[float, float, float] = (0.6, 0.2, 0
     rounding, so each split's class balance is within one sample of the
     dataset's. Every split must end up with both classes present.
     """
-    seed = check_int("split seed", seed, 0)
-    if (not isinstance(fractions, (list, tuple)) or len(fractions) != 3
-            or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in fractions)):
-        raise ConfigError(f"split fractions must be three real numbers, got {fractions!r}")
-    if any(not 0.0 < f <= 1.0 for f in fractions):  # also rejects NaN and huge ints
-        raise ConfigError(f"split fractions must be three positives, got {fractions}")
-    fractions = tuple(float(f) for f in fractions)
+    seed = PIPELINE_CHECKS["seed"]("split seed", seed)
+    fractions = PIPELINE_CHECKS["fractions"]("split fractions", fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)}")
     labels = dataset.labels

@@ -25,6 +25,7 @@ import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import ConfigError, DataError, MultiVqcError, NumericalError, check
 from .gradients import batch_loss_gradient
 from .metrics import Metrics, evaluate
 from .model import (
+    MODEL_CHECKS,
     MultiVqcConfig,
     MultiVqcModel,
     Rescale,
@@ -43,6 +45,24 @@ from .pipeline import SplitDataset
 from .templates import Ansatz, Encoding
 
 
+def _check_rate(name: str, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
+# One check per TrainConfig field; the CLI's config table points its train.*
+# leaves at the same checks.
+TRAIN_CHECKS = {
+    "max_epochs": partial(check_int, low=1),
+    "patience": partial(check_int, low=1),
+    "learning_rate": _check_rate,
+    "batch_size": partial(check_int, low=1),
+    "seed": partial(check_int, low=0),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 100
@@ -52,14 +72,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int("max_epochs", self.max_epochs, 1)
-        check_int("patience", self.patience, 1)
-        check_int("batch_size", self.batch_size, 1)
-        check_int("seed", self.seed, 0)
-        rate = self.learning_rate
-        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                or not 0.0 < rate <= sys.float_info.max):
-            raise ConfigError(f"learning_rate must be a finite number > 0, got {rate!r}")
+        for field, check in TRAIN_CHECKS.items():
+            check(field, getattr(self, field))
 
 
 @dataclass(frozen=True)
@@ -284,10 +298,24 @@ class SweepCell:
     reuploading: bool
 
 
+def check_counts(name: str, value) -> list[int]:
+    """``value`` if it is a list of distinct integers >= 1: a sweep grid axis."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    if len({check_int(f"{name} entry", v, 1) for v in value}) != len(value):
+        raise ConfigError(f"{name} must not repeat an entry, got {value!r}")
+    return value
+
+
 def build_grid(feature_counts: tuple[int, ...],
                vqc_counts: tuple[int, ...] = (1, 2, 3)) -> tuple[SweepCell, ...]:
     """Fixed enumeration order; the cell index seeds the cell's RNG stream,
-    so this order is part of the reproducibility contract."""
+    so this order is part of the reproducibility contract. With any circuit
+    count, each feature count is a circuit's qubit count and is checked as
+    one before a cell is built."""
+    if vqc_counts:
+        for features in feature_counts:
+            MODEL_CHECKS["n_features"]("sweep.feature_counts entry", features)
     cells = []
     index = 0
     for features in feature_counts:

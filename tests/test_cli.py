@@ -1,18 +1,23 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from multivqc import cli
+from multivqc import cli, training
 from multivqc.cli import (
     DEFAULT_CONFIG,
+    LEAVES,
     OUTPUT_DIR_ENV,
     load_run_config,
     main,
     parse_overrides,
 )
-from multivqc.errors import ConfigError
+from multivqc.errors import ConfigError, NumericalError
+from multivqc.model import MultiVqcConfig, MultiVqcModel, save_model
+from multivqc.pipeline import SCHEMA_KEYS
 
 BUNDLED = Path(cli.__file__).parent / "bundled"
 
@@ -48,6 +53,51 @@ def out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
     monkeypatch.delenv("MULTIVQC_DATA_DIR", raising=False)
     return target
+
+
+# One value of each JSON type, plus the numbers no leaf accepts. JSON reads
+# NaN and 1e400 as float NaN and infinity.
+WRONG_VALUES = {"string": "x", "bool": True, "null": None, "list": [1],
+                "object": {"a": 1}, "400-digit int": 10 ** 400,
+                "NaN": float("nan"), "1e400": float("inf")}
+
+
+def _rejects(check, name, value) -> bool:
+    try:
+        check(name, value)
+    except ConfigError:
+        return True
+    return False
+
+
+# Every (leaf, wrong value) pair that the leaf's own check rejects, so a new
+# leaf in cli.LEAVES is covered without a test edit.
+REJECTED_LEAF_VALUES = [
+    pytest.param(path, value, id=f"{path}={label}")
+    for path, (_, check) in LEAVES.items()
+    for label, value in WRONG_VALUES.items() if _rejects(check, path, value)
+]
+REJECTED_SCHEMA_VALUES = [
+    pytest.param(key, value, id=f"{key}={label}")
+    for key, (_, ok) in SCHEMA_KEYS.items()
+    for label, value in WRONG_VALUES.items() if not ok(value)
+]
+
+
+def _nested(path: str, value) -> dict:
+    """{"a": {"b": value}} for the dotted path "a.b"."""
+    *sections, key = path.split(".")
+    node = {key: value}
+    for section in reversed(sections):
+        node = {section: node}
+    return node
+
+
+def _assert_one_error_line(captured, *names: str) -> None:
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert all(name in lines[0] for name in names), lines[0]
 
 
 def _prostate_schema_with(**edits) -> list:
@@ -132,6 +182,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(str(path), [])
 
+    @pytest.mark.parametrize("path", list(LEAVES))
+    def test_every_leaf_accepts_its_default_and_rejects_most_wrong_values(self, path):
+        default, check = LEAVES[path]
+        assert not _rejects(check, path, default)
+        assert sum(_rejects(check, path, v) for v in WRONG_VALUES.values()) >= 6
+
     def test_readme_documents_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("Defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
@@ -163,10 +219,11 @@ class TestExitCodes:
         assert code == 2
         assert ":3" in capsys.readouterr().err
 
-    def test_all_cells_failing_is_numerical_error(self, out_dir):
-        code = main(["sweep", "--sweep.feature-counts=[1]",
-                     "--sweep.vqc-counts=[1]", "--sweep.include-baseline=false",
-                     "--train.max-epochs=1"])
+    def test_all_cells_failing_is_numerical_error(self, out_dir, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericalError("non-finite loss")
+        monkeypatch.setattr(training, "select_layers", diverge)  # every cell fails
+        code = main(["sweep", *FAST_SWEEP, "--sweep.include-baseline=false"])
         assert code == 3
 
     def test_successful_run_returns_zero(self, out_dir):
@@ -215,12 +272,60 @@ class TestExitCodes:
         _prostate_schema_with(name=""),
         _prostate_schema_with(name="."),
         _prostate_schema_with(name=".."),
+        ["baseline", "--model.n-vqcs=0"],
+        ["sweep", *FAST_SWEEP, "--model.encoding=foo"],
+        ["pca-report", "--train.max-epochs=x"],
+        ["train", "--schema=5"],
+        ["pca-report", "--angle-range=[2,1]"],
+        ["sweep", *FAST_SWEEP, "--sweep.feature-counts=[2,2]"],
+        ["sweep", *FAST_SWEEP, "--sweep.vqc-counts=[1,1]"],
+        ["sweep", *FAST_SWEEP, "--sweep.feature-counts=[1]"],
+        ["sweep", *FAST_SWEEP, "--sweep.feature-counts=[9]"],
+        ["sweep", *FAST_SWEEP, "--workers=0"],
     ])
     def test_bad_training_settings_are_config_errors(self, out_dir, tmp_path, capsys, argv):
         if isinstance(argv[-1], dict):
             argv = [*argv[:-1], _write_prostate_schema(tmp_path, argv[-1])]
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", REJECTED_LEAF_VALUES)
+    def test_every_command_rejects_a_wrong_leaf(self, out_dir, tmp_path, capsys, path, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_nested(path, value)), encoding="utf-8")
+        for command in ("pca-report", "train", "sweep", "baseline"):
+            assert main([command, "--config", str(config)]) == 1
+            _assert_one_error_line(capsys.readouterr(), path)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, value", REJECTED_SCHEMA_VALUES)
+    def test_every_schema_key_rejects_a_wrong_value(self, out_dir, tmp_path, capsys,
+                                                     key, value):
+        schema = _write_prostate_schema(tmp_path, {key: value})
+        assert main(["pca-report", f"--dataset={BUNDLED / 'prostate.csv'}",
+                     "--schema", schema]) == 1
+        _assert_one_error_line(capsys.readouterr(), repr(key))
+
+    def test_error_names_the_dotted_leaf(self, out_dir, capsys):
+        assert main(["train", "--model.n-vqcs.x=1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: model.n_vqcs must be an integer >= 1, got {'x': 1}\n")
+
+    def test_sweep_feature_count_is_refused_before_data_loads(self, out_dir, monkeypatch,
+                                                              capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("data loaded or a cell ran before the check")
+        monkeypatch.setattr(cli, "load_csv", must_not_run)
+        monkeypatch.setattr(cli, "run_cells", must_not_run)
+        assert main(["sweep", *FAST_SWEEP, "--sweep.feature-counts=[3,1]"]) == 1
+        _assert_one_error_line(capsys.readouterr(), "sweep.feature_counts")
+
+    def test_one_feature_without_circuits_is_a_logreg_sweep(self, out_dir):
+        assert main(["sweep", *FAST_SWEEP, "--sweep.feature-counts=[1]",
+                     "--sweep.vqc-counts=[]"]) == 0
+        with open(out_dir / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["model"], r["features"], r["status"]) for r in rows] == [("logreg", "1", "ok")]
 
     def test_schema_label_outside_0_1_is_data_error(self, out_dir, tmp_path):
         schema = _write_prostate_schema(tmp_path, {"label_mapping": {"M": 2, "B": 0}})
@@ -298,13 +403,21 @@ def _infinite_angle_range(run_dir):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _three_number_angle_range(run_dir):
+    path = run_dir / "pipeline.json"
+    payload = json.loads(path.read_text())
+    payload["angle_range"] = [0.0, 1.0, 2.0]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 class TestEvalUnreadableRun:
     @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
                                         _drop_run_config_object, _drop_run_config_key,
                                         _drop_pipeline_key, _truncate_scaler_kept,
                                         _truncate_encoder_mins, _cut_pca_components,
                                         _scalar_scaler_mins, _nan_encoder_max,
-                                        _nan_pca_mean, _infinite_angle_range])
+                                        _nan_pca_mean, _infinite_angle_range,
+                                        _three_number_angle_range])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         damage(out_dir)
@@ -319,6 +432,87 @@ class TestEvalUnreadableRun:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["eval", "--run-dir", str(out_dir)]) == 2
         assert "fitted on 8 feature columns, got 12" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="class")
+def trained_run(tmp_path_factory):
+    """One FAST_TRAIN run directory, shared read-only by a test class."""
+    run_dir = tmp_path_factory.mktemp("trained")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(OUTPUT_DIR_ENV, str(run_dir))
+        patch.delenv("MULTIVQC_DATA_DIR", raising=False)
+        assert main(["train", *FAST_TRAIN]) == 0
+    return run_dir
+
+
+class TestEvalChecksRunConfig:
+    @pytest.mark.parametrize("path", list(LEAVES))
+    def test_wrong_leaf_in_resolved_config_is_config_error(self, trained_run, tmp_path,
+                                                           capsys, path):
+        _, check = LEAVES[path]
+        rejected = [v for v in WRONG_VALUES.values() if _rejects(check, path, v)]
+        assert rejected
+        for value in rejected:
+            run_dir = tmp_path / "run"
+            shutil.copytree(trained_run, run_dir)
+            resolved = run_dir / "resolved_config.json"
+            payload = json.loads(resolved.read_text())
+            *sections, key = path.split(".")
+            node = payload["config"]
+            for section in sections:
+                node = node[section]
+            node[key] = value
+            resolved.write_text(json.dumps(payload), encoding="utf-8")
+            assert main(["eval", "--run-dir", str(run_dir)]) == 1
+            _assert_one_error_line(capsys.readouterr(), path)
+            assert not (run_dir / "eval_metrics.csv").exists()
+            shutil.rmtree(run_dir)
+
+    def test_missing_leaf_is_named(self, trained_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_run, run_dir)
+        resolved = run_dir / "resolved_config.json"
+        payload = json.loads(resolved.read_text())
+        del payload["config"]["train"]["seed"]
+        resolved.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["eval", "--run-dir", str(run_dir)]) == 1
+        _assert_one_error_line(capsys.readouterr(), "lacks key 'train.seed'")
+
+
+class _Unprintable:
+    def __str__(self):
+        raise OSError("device lost")
+
+
+def _dump_then_fail(obj, fh, **kwargs):
+    fh.write('{"half": ')
+    raise OSError("device lost")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path: cli._write_json(path, {"a": [1, 2, 3]}),
+        lambda path: save_model(str(path), MultiVqcConfig(n_features=2),
+                                MultiVqcModel(MultiVqcConfig(n_features=2))
+                                .new_store(np.random.default_rng(0))),
+        lambda path: cli._write_csv(path, ("a",), [{"a": 1}, {"a": _Unprintable()}]),
+    ], ids=["write_json", "save_model", "write_csv"])
+    def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(self, tmp_path,
+                                                                  monkeypatch, write):
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old bytes\n")
+        monkeypatch.setattr(json, "dump", _dump_then_fail)
+        with pytest.raises(OSError, match="device lost"):
+            write(target)
+        assert target.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_write_replaces_the_old_file(self, tmp_path):
+        target = tmp_path / "artifact.json"
+        target.write_bytes(b"old bytes\n")
+        cli._write_json(target, {"b": 1, "a": [2]})
+        assert target.read_bytes() == b'{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
 class TestPcaReport:
