@@ -18,12 +18,7 @@ from .errors import (
     NumericalError,
     PipelineStateError,
 )
-from .gradients import (
-    batch_loss,
-    batch_loss_gradient,
-    expectation_gradient,
-    run_circuit_blocks,
-)
+from .gradients import batch_loss, batch_loss_gradient
 from .metrics import ConfusionCounts, Metrics, compute_metrics, confusion, evaluate
 from .model import (
     ForwardTrace,

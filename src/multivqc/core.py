@@ -21,8 +21,8 @@ permutation per run. The first segment acts on |0...0>, so it builds the
 state as a product of its matrices' first columns. ``adjoint_gradient``
 walks the same table backwards: per segment it reads one 2x2 environment per
 chain, then undoes one fused matrix per qubit and one permutation per run.
-The per-gate kernels ``apply_rotation_batch`` and ``apply_cnot_batch`` are
-references for the tests; no circuit run calls them.
+``apply_rotation_batch`` and ``apply_cnot_batch`` apply a single gate with
+the same 2x2 kernel and CNOT permutation.
 
 Both directions run on batch-last (2**n, batch) states held in one
 grow-only, per-process workspace (``_WORKSPACE``): two state buffers that
@@ -109,60 +109,6 @@ def cnot(control: int, target: int) -> GateOp:
 def _check_qubit(qubit: int, n_qubits: int) -> None:
     if not 0 <= qubit < n_qubits:
         raise IndexError(f"qubit {qubit} out of range for {n_qubits}-qubit state")
-
-
-def _axis_index(n_qubits: int, qubit: int, bit: int) -> tuple:
-    # Index tuple selecting one value of a qubit axis in a (batch, 2, ..., 2) view.
-    idx: list = [slice(None)] * (n_qubits + 1)
-    idx[1 + qubit] = bit
-    return tuple(idx)
-
-
-def apply_rotation_batch(amps: np.ndarray, kind: GateKind, target: int,
-                         angles, n_qubits: int) -> np.ndarray:
-    """Apply RX/RY/RZ to a (batch, 2**n) array; ``angles`` is a scalar or (batch,)."""
-    batch = amps.shape[0]
-    psi = amps.reshape(batch, *([2] * n_qubits))
-    ang = np.asarray(angles, dtype=np.float64)
-    if ang.ndim == 1:
-        ang = ang.reshape((batch,) + (1,) * (n_qubits - 1))
-    half = ang / 2.0
-    i0 = _axis_index(n_qubits, target, 0)
-    i1 = _axis_index(n_qubits, target, 1)
-    a0 = psi[i0]
-    a1 = psi[i1]
-    out = np.empty_like(psi)
-    if kind == GateKind.RZ:
-        phase = np.exp(-1j * half)
-        out[i0] = phase * a0
-        out[i1] = np.conj(phase) * a1
-        return out.reshape(batch, -1)
-    c = np.cos(half)
-    s = np.sin(half)
-    if kind == GateKind.RX:
-        out[i0] = c * a0 - 1j * s * a1
-        out[i1] = -1j * s * a0 + c * a1
-    elif kind == GateKind.RY:
-        out[i0] = c * a0 - s * a1
-        out[i1] = s * a0 + c * a1
-    else:
-        raise ConfigError(f"unknown rotation kind {kind}")
-    return out.reshape(batch, -1)
-
-
-def apply_cnot_batch(amps: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
-    """Apply CNOT to a (batch, 2**n) array: flip target where control bit is 1."""
-    batch = amps.shape[0]
-    psi = amps.reshape(batch, *([2] * n_qubits))
-    idx10: list = [slice(None)] * (n_qubits + 1)
-    idx10[1 + control] = 1
-    idx11 = list(idx10)
-    idx10[1 + target] = 0
-    idx11[1 + target] = 1
-    out = psi.copy()
-    out[tuple(idx10)] = psi[tuple(idx11)]
-    out[tuple(idx11)] = psi[tuple(idx10)]
-    return out.reshape(batch, -1)
 
 
 def _check_ids(ids, have: int, what: str) -> None:
@@ -299,6 +245,29 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(perm.shape[0])
     return inverse
+
+
+def apply_rotation_batch(amps: np.ndarray, kind: GateKind, target: int,
+                         angles, n_qubits: int) -> np.ndarray:
+    """Apply RX/RY/RZ to a (batch, 2**n) array; ``angles`` is a scalar or (batch,)."""
+    if kind not in _MINUS_I_PAULI:
+        raise ConfigError(f"unknown rotation kind {kind}")
+    _check_qubit(target, n_qubits)
+    half = 0.5 * np.asarray(angles, dtype=np.float64).reshape(-1)
+    pauli = np.array(_MINUS_I_PAULI[kind], dtype=np.complex128)[:, None]
+    u = _IDENTITY[:, 0] * np.cos(half) + pauli * np.sin(half)  # (4, rows or 1)
+    src = np.array(amps.reshape(amps.shape[0], 2**n_qubits).T, dtype=np.complex128)
+    dst = np.empty_like(src)
+    _apply_fused(src, u, target, dst, np.empty(src.size // 2, dtype=np.complex128))
+    return np.ascontiguousarray(dst.T)
+
+
+def apply_cnot_batch(amps: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
+    """Apply CNOT to a (batch, 2**n) array: flip target where control bit is 1."""
+    _check_qubit(control, n_qubits)
+    _check_qubit(target, n_qubits)
+    perm = _cnot_permutation(n_qubits, control, target)
+    return amps.reshape(amps.shape[0], 2**n_qubits)[:, perm]
 
 
 @lru_cache(maxsize=128)

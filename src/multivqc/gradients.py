@@ -20,9 +20,9 @@ reference: every trainable angle enters through a Pauli rotation, so the
 derivative of a Pauli-Z expectation is exactly
 [E(theta + pi/2) - E(theta - pi/2)] / 2. ``_shift_jacobian`` shifts each
 gate on its own, every shift a block of one ``run_circuit_blocks`` call on
-the core runner. ``expectation_gradient`` and the per-circuit
-``stage_*_jacobian`` functions call it; the tests hold the adjoint gradient
-to them, and to central finite differences of ``batch_loss``.
+the core runner. The per-circuit ``stage_*_jacobian`` functions call it;
+the tests hold the adjoint gradient to them, and to central finite
+differences of ``batch_loss``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .core import (
     GateKind,
-    GateOp,
     _resolve_angle,
     adjoint_gradient,
     expectations_z_batch,
@@ -102,21 +101,6 @@ def _shift_jacobian(n_qubits: int, gates, params, inputs: np.ndarray | None,
     for row, i in enumerate(shifted):
         jac[:, :, ids[i]] += diff[row]
     return jac
-
-
-def expectation_gradient(
-    n_qubits: int,
-    gates: tuple[GateOp, ...] | list[GateOp],
-    params: np.ndarray | ParamStore,
-    features: np.ndarray | None,
-    measured_qubit: int,
-) -> np.ndarray:
-    """Gradient of one circuit's single-qubit Z expectation w.r.t. each of
-    its parameters; two circuit evaluations per parameter."""
-    values = np.asarray(getattr(params, "values", params), dtype=np.float64)
-    feats = None if features is None else np.asarray(features, dtype=np.float64)[None, :]
-    return _shift_jacobian(n_qubits, gates, values, feats, [g.param_id for g in gates],
-                           values.shape[0], [measured_qubit])[0, 0]
 
 
 def stage_parameter_jacobian(

@@ -14,7 +14,7 @@ with an angle encoding step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
 
@@ -235,25 +235,10 @@ def nll_from_scores(
     return -weights * np.log(np.maximum(picked, PROB_FLOOR))
 
 
-def config_to_json_dict(config: MultiVqcConfig) -> dict:
-    """The chain's shape as stored in ``model.json`` and ``train_report.json``."""
-    return {
-        "n_features": config.n_features,
-        "n_classes": config.n_classes,
-        "n_vqcs": config.n_vqcs,
-        "encoding": config.encoding.value,
-        "ansatz": config.ansatz.value,
-        "n_layers": list(config.n_layers)
-        if isinstance(config.n_layers, tuple) else config.n_layers,
-        "reuploading": config.reuploading,
-        "rescale": config.rescale.value,
-    }
-
-
 def model_to_json_dict(config: MultiVqcConfig, store: ParamStore) -> dict:
     return {
         "format": MODEL_FORMAT,
-        "config": config_to_json_dict(config),
+        "config": asdict(config),
         "param_counts": list(store.counts),
         "params": [float(v) for v in store.values],
     }
@@ -267,9 +252,14 @@ def model_from_json_dict(payload: dict) -> tuple[MultiVqcModel, ParamStore]:
         )
     try:
         config = MultiVqcConfig(**payload["config"])
-        counts = tuple(int(c) for c in payload["param_counts"])
-        values = np.asarray(payload["params"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        counts = tuple(check_int("param_counts entry", c, 0) for c in payload["param_counts"])
+        values = payload["params"]
+        if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+            raise ValueError("params must be a list of numbers")
+        values = np.asarray(values, dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("params hold a NaN or infinite value")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed model document: {exc}") from exc
     model = MultiVqcModel(config)
     if counts != model.param_counts:

@@ -57,8 +57,15 @@ class VqcConfig:
         object.__setattr__(self, "ansatz", Ansatz(self.ansatz))
 
 
+# The trainable rotations an ansatz layer applies to each qubit, in order.
+_LAYER_ROTATIONS = {
+    Ansatz.BASIC: (GateKind.RX,),
+    Ansatz.STRONGLY: (GateKind.RZ, GateKind.RY, GateKind.RZ),
+}
+
+
 def params_per_layer(ansatz: Ansatz, n_qubits: int) -> int:
-    return 3 * n_qubits if ansatz == Ansatz.STRONGLY else n_qubits
+    return len(_LAYER_ROTATIONS[ansatz]) * n_qubits
 
 
 def param_count(config: VqcConfig) -> int:
@@ -71,31 +78,17 @@ def build_encoding(config: VqcConfig) -> tuple[GateOp, ...]:
     return tuple(rotation(kind, q, feature_id=q) for q in range(config.n_qubits))
 
 
-def _cnot_ring(n_qubits: int) -> tuple[GateOp, ...]:
-    return tuple(cnot(q, (q + 1) % n_qubits) for q in range(n_qubits))
-
-
-def build_basic_entangling_layer(n_qubits: int, layer_index: int) -> tuple[GateOp, ...]:
-    """One trainable RX per qubit followed by the CNOT ring; n_qubits new params."""
+def build_entangling_layer(ansatz: Ansatz, n_qubits: int,
+                           layer_index: int) -> tuple[GateOp, ...]:
+    """The ansatz's trainable rotations on each qubit, then the CNOT ring;
+    ``params_per_layer`` new params, numbered on from the layers before."""
     if n_qubits < 2:
         raise ConfigError("entangling layers need n_qubits >= 2")
-    base = layer_index * n_qubits
-    rotations = tuple(
-        rotation(GateKind.RX, q, param_id=base + q) for q in range(n_qubits)
-    )
-    return rotations + _cnot_ring(n_qubits)
-
-
-def build_strongly_entangling_layer(n_qubits: int, layer_index: int) -> tuple[GateOp, ...]:
-    """Trainable RZ-RY-RZ per qubit followed by the CNOT ring; 3*n_qubits new params."""
-    if n_qubits < 2:
-        raise ConfigError("entangling layers need n_qubits >= 2")
-    base = layer_index * 3 * n_qubits
-    rotations = []
-    for q in range(n_qubits):
-        for k, kind in enumerate((GateKind.RZ, GateKind.RY, GateKind.RZ)):
-            rotations.append(rotation(kind, q, param_id=base + 3 * q + k))
-    return tuple(rotations) + _cnot_ring(n_qubits)
+    kinds = _LAYER_ROTATIONS[ansatz]
+    base = layer_index * len(kinds) * n_qubits
+    rotations = tuple(rotation(kind, q, param_id=base + len(kinds) * q + k)
+                      for q in range(n_qubits) for k, kind in enumerate(kinds))
+    return rotations + tuple(cnot(q, (q + 1) % n_qubits) for q in range(n_qubits))
 
 
 def build_vqc(config: VqcConfig) -> tuple[tuple[GateOp, ...], int]:
@@ -105,10 +98,6 @@ def build_vqc(config: VqcConfig) -> tuple[tuple[GateOp, ...], int]:
     without it the single encoding block sits at the front. Returns the gate
     list and the number of trainable parameters it introduces.
     """
-    if config.ansatz == Ansatz.STRONGLY:
-        build_layer = build_strongly_entangling_layer
-    else:
-        build_layer = build_basic_entangling_layer
     encoding = build_encoding(config)
     gates: list[GateOp] = []
     if not config.reuploading:
@@ -116,5 +105,5 @@ def build_vqc(config: VqcConfig) -> tuple[tuple[GateOp, ...], int]:
     for layer in range(config.n_layers):
         if config.reuploading:
             gates.extend(encoding)
-        gates.extend(build_layer(config.n_qubits, layer))
+        gates.extend(build_entangling_layer(config.ansatz, config.n_qubits, layer))
     return tuple(gates), param_count(config)

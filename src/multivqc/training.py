@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -37,7 +38,6 @@ from .model import (
     MultiVqcConfig,
     MultiVqcModel,
     Rescale,
-    config_to_json_dict,
     nll_from_scores,
 )
 from .params import ParamStore
@@ -410,6 +410,12 @@ def _run_cell_payload(payload: tuple) -> SweepRow:
     return run_cell(*args, max_layers=max_layers)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_cells(
     cells: tuple[SweepCell, ...],
     datasets_by_width: dict[int, SplitDataset],
@@ -419,13 +425,18 @@ def run_cells(
     max_layers: int,
     max_workers: int = 1,
 ) -> list[SweepRow]:
-    """Run grid cells serially or on a process pool; the result list is in
-    the order of ``cells`` either way."""
+    """Run grid cells serially or on a process pool of at most ``max_workers``,
+    pending cells and usable CPUs; the result list is in the order of
+    ``cells`` either way."""
     payloads = [(cell, datasets_by_width[cell.features], tcfg, rescale, max_layers)
                 for cell in cells]
-    if max_workers <= 1 or len(cells) <= 1:
+    workers = min(max_workers, len(cells), _usable_cpus())
+    if workers < min(max_workers, len(cells)):
+        print(f"note: sweep.workers={max_workers} capped at {workers}, the usable CPU count",
+              file=sys.stderr)
+    if workers <= 1:
         return [_run_cell_payload(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell_payload, payloads))
 
 
@@ -523,12 +534,8 @@ def train_report_to_json_dict(
 ) -> dict:
     return {
         "format": "multivqc-train-report/1",
-        "model_config": config_to_json_dict(config),
-        "train_config": {
-            "max_epochs": tcfg.max_epochs, "patience": tcfg.patience,
-            "learning_rate": tcfg.learning_rate, "batch_size": tcfg.batch_size,
-            "seed": tcfg.seed,
-        },
+        "model_config": asdict(config),
+        "train_config": asdict(tcfg),
         "class_weights": [weights.weight_class0, weights.weight_class1],
         "best_epoch": report.best_epoch,
         "stopped_early": report.stopped_early,

@@ -1,21 +1,28 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here except ``shift_rule_loss_gradient`` evaluates circuits by
-building dense 2^n x 2^n matrices with Kronecker products and multiplying them
-out, deliberately avoiding the package's sliced-axis kernels. Gate lists and
-configs may come from the package (they are data); the evaluation path may not.
+Everything here except ``expectation_gradient`` and
+``shift_rule_loss_gradient`` evaluates circuits by building dense 2^n x 2^n
+matrices with Kronecker products and multiplying them out, deliberately
+avoiding the package's kernels. Gate lists and configs may come from the
+package (they are data); the evaluation path may not.
 
-``shift_rule_loss_gradient`` is the reference for the training gradient: it
-differentiates by a different method (parameter shift, 2 runs per parameter
-and per encoding-gate occurrence) on the package's kernels, so it checks the
-adjoint sweep and its chain-rule composition rather than the simulator.
+``expectation_gradient`` and ``shift_rule_loss_gradient`` are the references
+for the training gradient: they differentiate by a different method
+(parameter shift, 2 runs per parameter and per encoding-gate occurrence) on
+the package's kernels, so they check the adjoint sweep and its chain-rule
+composition rather than the simulator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from multivqc.gradients import score_cotangent, stage_input_jacobian, stage_parameter_jacobian
+from multivqc.gradients import (
+    _shift_jacobian,
+    score_cotangent,
+    stage_input_jacobian,
+    stage_parameter_jacobian,
+)
 from multivqc.model import rescale_derivative
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -150,6 +157,15 @@ def eigh_pca(features: np.ndarray, n_components: int):
     components = eigvecs[:, order].T
     ratios = eigvals / np.sum(eigvals)
     return mean, components[:n_components], ratios[:n_components]
+
+
+def expectation_gradient(n_qubits: int, gates, params, features, measured_qubit: int):
+    """Parameter-shift gradient of one circuit's single-qubit Z expectation
+    w.r.t. each of its parameters; two circuit runs per parameter gate."""
+    values = np.asarray(getattr(params, "values", params), dtype=np.float64)
+    feats = None if features is None else np.asarray(features, dtype=np.float64)[None, :]
+    return _shift_jacobian(n_qubits, gates, values, feats, [g.param_id for g in gates],
+                           values.shape[0], [measured_qubit])[0, 0]
 
 
 def shift_rule_loss_gradient(model, store, features, labels, label_weights) -> np.ndarray:

@@ -396,18 +396,35 @@ def _nan_pca_mean(run_dir):
     _edit_pipeline(run_dir, "pca", "mean", lambda mean: [float("nan"), *mean[1:]])
 
 
-def _infinite_angle_range(run_dir):
-    path = run_dir / "pipeline.json"
+def _edit_key(run_dir, name, key, edit):
+    path = run_dir / name
     payload = json.loads(path.read_text())
-    payload["angle_range"] = [0.0, float("inf")]
+    payload[key] = edit(payload[key])
     path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _infinite_angle_range(run_dir):
+    _edit_key(run_dir, "pipeline.json", "angle_range", lambda _: [0.0, float("inf")])
 
 
 def _three_number_angle_range(run_dir):
-    path = run_dir / "pipeline.json"
-    payload = json.loads(path.read_text())
-    payload["angle_range"] = [0.0, 1.0, 2.0]
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    _edit_key(run_dir, "pipeline.json", "angle_range", lambda _: [0.0, 1.0, 2.0])
+
+
+def _nan_model_param(run_dir):
+    _edit_key(run_dir, "model.json", "params", lambda params: [float("nan"), *params[1:]])
+
+
+def _string_model_param(run_dir):
+    _edit_key(run_dir, "model.json", "params", lambda params: ["0.5", *params[1:]])
+
+
+def _string_n_components(run_dir):
+    _edit_key(run_dir, "pipeline.json", "n_components", str)
+
+
+def _fractional_n_components(run_dir):
+    _edit_key(run_dir, "pipeline.json", "n_components", lambda count: count + 0.5)
 
 
 class TestEvalUnreadableRun:
@@ -417,12 +434,18 @@ class TestEvalUnreadableRun:
                                         _truncate_encoder_mins, _cut_pca_components,
                                         _scalar_scaler_mins, _nan_encoder_max,
                                         _nan_pca_mean, _infinite_angle_range,
-                                        _three_number_angle_range])
+                                        _three_number_angle_range, _nan_model_param,
+                                        _string_model_param, _string_n_components,
+                                        _fractional_n_components])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         damage(out_dir)
+        capsys.readouterr()
         assert main(["eval", "--run-dir", str(out_dir)]) == 1
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        _assert_one_error_line(captured)
+        assert not (out_dir / "eval_metrics.csv").exists()
 
     def test_dataset_of_another_width_is_data_error(self, out_dir, capsys):
         assert main(["train", *FAST_TRAIN]) == 0

@@ -105,6 +105,19 @@ class TestApplyGate:
             dense = oracles.embed_single(n, target, oracles.rotation_matrix(kind, theta))
             assert np.allclose(moved, dense @ amps, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", [GateKind.RX, GateKind.RY, GateKind.RZ])
+    def test_per_row_angles_match_dense_oracle(self, kind):
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3):
+            for target in range(n):
+                amps = rng.normal(size=(5, 2**n)) + 1j * rng.normal(size=(5, 2**n))
+                amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+                thetas = rng.uniform(-2 * np.pi, 2 * np.pi, 5)
+                moved = apply_rotation_batch(amps, kind, target, thetas, n)
+                for row, theta in enumerate(thetas):
+                    dense = oracles.embed_single(n, target, oracles.rotation_matrix(kind, theta))
+                    assert np.max(np.abs(moved[row] - dense @ amps[row])) < 1e-12
+
     def test_cnot_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(20):

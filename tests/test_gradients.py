@@ -10,7 +10,6 @@ from multivqc.gradients import (
     SHIFT,
     batch_loss,
     batch_loss_gradient,
-    expectation_gradient,
     score_cotangent,
     stage_input_jacobian,
     stage_parameter_jacobian,
@@ -45,12 +44,12 @@ class TestExpectationGradient:
     def test_single_ry_matches_minus_sine(self):
         gates = [rotation(GateKind.RY, 0, param_id=0)]
         for theta in np.linspace(-np.pi, np.pi, 9):
-            grad = expectation_gradient(2, gates, np.array([theta]), None, 0)
+            grad = oracles.expectation_gradient(2, gates, np.array([theta]), None, 0)
             assert grad[0] == pytest.approx(-np.sin(theta), abs=1e-12)
 
     def test_stationary_at_zero(self):
         gates = [rotation(GateKind.RY, 0, param_id=0)]
-        grad = expectation_gradient(2, gates, np.array([0.0]), None, 0)
+        grad = oracles.expectation_gradient(2, gates, np.array([0.0]), None, 0)
         assert grad[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_strongly_entangling_matches_finite_difference(self):
@@ -61,7 +60,7 @@ class TestExpectationGradient:
         features = rng.uniform(0, np.pi, 3)
 
         for qubit in range(3):
-            grad = expectation_gradient(3, gates, params, features, qubit)
+            grad = oracles.expectation_gradient(3, gates, params, features, qubit)
 
             def expectation(values, q=qubit):
                 state = oracles.oracle_state(3, gates, params=values,
@@ -83,7 +82,7 @@ class TestExpectationGradient:
         for _ in range(10):
             params = rng.uniform(0, 2 * np.pi, 2)
             features = rng.uniform(0, np.pi, 1)
-            grad = expectation_gradient(2, gates, params, features, 0)
+            grad = oracles.expectation_gradient(2, gates, params, features, 0)
             assert abs(grad[0]) < 1e-12
 
     def test_deterministic_bitwise(self):
@@ -92,8 +91,8 @@ class TestExpectationGradient:
         gates, n_params = build_vqc(cfg)
         params = rng.uniform(0, 2 * np.pi, n_params)
         features = rng.uniform(0, np.pi, 2)
-        first = expectation_gradient(2, gates, params, features, 1)
-        second = expectation_gradient(2, gates, params, features, 1)
+        first = oracles.expectation_gradient(2, gates, params, features, 1)
+        second = oracles.expectation_gradient(2, gates, params, features, 1)
         assert np.array_equal(first, second)
 
 
@@ -156,7 +155,7 @@ class TestLossGradient:
         cot = score_cotangent(trace.probabilities, label, weights)
         expected = np.zeros_like(grad)
         for c in range(2):
-            per_class = expectation_gradient(
+            per_class = oracles.expectation_gradient(
                 model.config.n_features, model.stage_gates[0], store.values,
                 x[0], c)
             expected += cot[0, c] * per_class
@@ -173,8 +172,8 @@ class TestLossGradient:
         trace = model.forward_batch(store, x)
         p0 = trace.probabilities[0, 0]
         per_class = [
-            expectation_gradient(model.config.n_features, model.stage_gates[0],
-                                 store.values, x[0], c)
+            oracles.expectation_gradient(model.config.n_features, model.stage_gates[0],
+                                         store.values, x[0], c)
             for c in range(2)
         ]
         # Summed cotangent is proportional to (1, -1): the shared direction

@@ -7,9 +7,8 @@ from multivqc.templates import (
     Ansatz,
     Encoding,
     VqcConfig,
-    build_basic_entangling_layer,
     build_encoding,
-    build_strongly_entangling_layer,
+    build_entangling_layer,
     build_vqc,
     param_count,
     params_per_layer,
@@ -67,7 +66,7 @@ class TestEncoding:
 
 class TestBasicEntanglingLayer:
     def test_two_qubit_structure(self):
-        gates = build_basic_entangling_layer(2, 0)
+        gates = build_entangling_layer(Ansatz.BASIC, 2, 0)
         assert [g.kind for g in gates] == [
             GateKind.RX, GateKind.RX, GateKind.CNOT, GateKind.CNOT]
         assert [g.param_id for g in gates[:2]] == [0, 1]
@@ -75,14 +74,14 @@ class TestBasicEntanglingLayer:
         assert (gates[3].control, gates[3].target) == (1, 0)
 
     def test_four_qubit_counts_and_ring(self):
-        gates = build_basic_entangling_layer(4, 0)
+        gates = build_entangling_layer(Ansatz.BASIC, 4, 0)
         rotations = [g for g in gates if g.kind == GateKind.RX]
         cnots = [g for g in gates if g.kind == GateKind.CNOT]
         assert len(rotations) == 4 and len(cnots) == 4
         assert [(g.control, g.target) for g in cnots] == [(0, 1), (1, 2), (2, 3), (3, 0)]
 
     def test_layer_index_offsets_param_ids(self):
-        gates = build_basic_entangling_layer(3, 2)
+        gates = build_entangling_layer(Ansatz.BASIC, 3, 2)
         assert [g.param_id for g in gates if g.kind == GateKind.RX] == [6, 7, 8]
 
     def test_zero_params_reduce_to_cnot_ring(self):
@@ -93,18 +92,18 @@ class TestBasicEntanglingLayer:
         amps = run_circuit_batch(3, gates, params=np.zeros(n_params),
                                  features=features[None])[0]
         ring_only = build_encoding(cfg) + tuple(
-            g for g in build_basic_entangling_layer(3, 0) if g.kind == GateKind.CNOT)
+            g for g in build_entangling_layer(Ansatz.BASIC, 3, 0) if g.kind == GateKind.CNOT)
         ref = oracles.oracle_state(3, ring_only, features=features)
         assert np.allclose(amps, ref, atol=1e-12)
 
     def test_single_qubit_rejected(self):
         with pytest.raises(ConfigError):
-            build_basic_entangling_layer(1, 0)
+            build_entangling_layer(Ansatz.BASIC, 1, 0)
 
 
 class TestStronglyEntanglingLayer:
     def test_two_qubit_structure(self):
-        gates = build_strongly_entangling_layer(2, 0)
+        gates = build_entangling_layer(Ansatz.STRONGLY, 2, 0)
         rotations = gates[:6]
         assert [g.kind for g in rotations] == [
             GateKind.RZ, GateKind.RY, GateKind.RZ,
@@ -114,13 +113,13 @@ class TestStronglyEntanglingLayer:
         assert [(g.control, g.target) for g in gates[6:]] == [(0, 1), (1, 0)]
 
     def test_five_qubit_param_count(self):
-        gates = build_strongly_entangling_layer(5, 0)
+        gates = build_entangling_layer(Ansatz.STRONGLY, 5, 0)
         params = [g.param_id for g in gates if g.param_id is not None]
         assert len(params) == 15
         assert params == list(range(15))
 
     def test_zero_params_reduce_to_identity_rotations(self):
-        gates = build_strongly_entangling_layer(2, 0)
+        gates = build_entangling_layer(Ansatz.STRONGLY, 2, 0)
         amps = run_circuit_batch(2, gates, params=np.zeros(6))[0]
         ring = tuple(g for g in gates if g.kind == GateKind.CNOT)
         ref = oracles.oracle_state(2, ring)
@@ -128,7 +127,7 @@ class TestStronglyEntanglingLayer:
 
     def test_single_qubit_rejected(self):
         with pytest.raises(ConfigError):
-            build_strongly_entangling_layer(1, 0)
+            build_entangling_layer(Ansatz.STRONGLY, 1, 0)
 
 
 def encoding_block_starts(gates, n_qubits):

@@ -1,9 +1,11 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from multivqc import training
 from multivqc.errors import ConfigError, DataError
 from multivqc.metrics import Metrics, evaluate
 from multivqc.model import MultiVqcConfig, MultiVqcModel, Rescale, nll_from_scores
@@ -390,6 +392,39 @@ class TestSweepRows:
         parallel = run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=2)
         assert serial == parallel
         assert [row.cell for row in serial] == [cell.index for cell in cells]
+
+    def test_run_cells_pool_is_capped_at_usable_cpus_and_pending_cells(self, monkeypatch,
+                                                                        capsys):
+        # A stand-in pool records its size and maps serially: no process starts.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+        parts = angle_split(n=60)
+        tcfg = TrainConfig(max_epochs=2, patience=1, learning_rate=0.1,
+                           batch_size=12, seed=3)
+        cells = build_grid((2,), (1,))[:3]
+        serial = run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=5000) == serial
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sweep.workers=5000 capped at 2" in err
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=5000) == serial
+        assert capsys.readouterr().err == ""
+        assert sizes == [2, 3]
 
     def test_rank_rows_orders_by_f1_then_size(self):
         rows = [
