@@ -14,13 +14,15 @@ whole batch of feature vectors in one pass.
 ``run_circuit_batch`` compiles each distinct gate list once (``_compile``),
 checks its source ids and runs the table with ``run_compiled``. A table holds
 segments: the rotations between two CNOT runs, recorded as one chain
-per qubit, and each CNOT run as one basis permutation. A call gathers every
-angle at once, multiplies each chain into one 2x2 matrix (per row only where
+per qubit, and each CNOT run as one basis permutation. A call builds every
+row-independent gate's 2x2 matrix at once, in a (position in run x run) cell
+table, multiplies each chain into one 2x2 matrix (per row only where
 a feature-bound gate is in it) and applies one matrix per qubit and one
 permutation per run. The first segment acts on |0...0>, so it builds the
 state as a product of its matrices' first columns. ``adjoint_gradient``
 walks the same table backwards: per segment it reads one 2x2 environment per
-chain, then undoes one fused matrix per qubit and one permutation per run.
+chain, then undoes one fused matrix per qubit and scatters back through one
+permutation per run.
 ``apply_rotation_batch`` and ``apply_cnot_batch`` apply a single gate with
 the same 2x2 kernel and CNOT permutation.
 
@@ -200,37 +202,34 @@ _WORKSPACE = _Workspace()
 class _Compiled:
     """A gate list as segments; see ``_compile``.
 
-    Rotations bound to a fixed angle or a parameter are row-independent and
-    indexed by their position in ``angles``; feature-bound rotations by
-    their position in ``feature_ids``. A qubit's chain in one segment is
-    U = R_m F_m ... R_1 F_1 R_0, with F_j its feature-bound gates and R_j
-    the runs of row-independent gates between them.
+    A qubit's chain in one segment is U = R_m F_m ... R_1 F_1 R_0, with F_j
+    its feature-bound gates, indexed by their position in ``feature_ids``,
+    and R_j the runs of row-independent gates between them. Cell (i, r) of
+    the run table holds gate i of run r; L is the longest run, R the number
+    of runs, and padding cells hold the identity (angle 0, -iP = 0).
     """
 
     n_qubits: int
-    angles: np.ndarray         # (G + 1,) fixed angles; entry G (angle 0) pads runs
-    param_slots: np.ndarray    # entries of ``angles`` taken from the parameters
-    param_ids: np.ndarray
-    pauli: np.ndarray          # (4, G + 1, 1) -iP of each row-independent gate
+    angles: np.ndarray         # (L, R, 1) fixed angle per cell; 0 at parameter and padding cells
+    pauli: np.ndarray          # (4, L, R, 1) -iP per cell; 0 at padding cells
     feature_ids: np.ndarray    # (F,) source column of each feature-bound gate
     feature_pauli: np.ndarray  # (4, F, 1)
-    runs: np.ndarray           # (longest run, runs) gate positions in application order
     # One entry per chain shape (has R_0, m): (R_0 if any, then R_1..R_m;
     # F_1..F_m), each row an index array over the chains of that shape; then
     # the first of those runs that holds a parameter in some chain, and the
     # last segment holding a chain of that shape.
     groups: tuple
     first: tuple               # per qubit: (group, chain) in the first segment, or None
-    steps: tuple               # (permutation, ((qubit, group, chain), ...)) per CNOT run
+    perms: tuple               # permutation of each CNOT run; segment k + 1 follows run k
+    segments: tuple            # ((qubit, group, chain), ...) per segment, the first included;
+                               # the forward reads segments[1:], the sweep all of them
     # Read by the reverse sweep only.
-    segments: tuple            # ((qubit, group, chain), ...) per segment, the first included
-    inverses: tuple            # inverse of each CNOT run's permutation
     stops: tuple               # earliest segment with a parameter gate; with a parameter or
                                # feature gate (indexed by input_gradient)
     signs: np.ndarray          # (2**n, n) Z eigenvalue of each qubit in each basis state
-    run_pauli_t: np.ndarray    # (4, longest run, runs) transposed -iP of each ``runs`` cell
+    run_pauli_t: np.ndarray    # (4, L, R) transposed -iP of each cell
     feature_pauli_t: np.ndarray  # (4, F)
-    param_cells: np.ndarray    # flat ``runs`` cells holding a parameter gate, and
+    param_cells: np.ndarray    # flat (L, R) cells holding a parameter gate, and
     cell_params: np.ndarray    # the param_id of each
     feature_map: np.ndarray    # (F, max feature_id + 1) one-hot source column of each
 
@@ -239,12 +238,6 @@ def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
     index = np.arange(2**n_qubits)
     flip = (index >> (n_qubits - 1 - control)) & 1
     return index ^ (flip << (n_qubits - 1 - target))
-
-
-def _inverse(perm: np.ndarray) -> np.ndarray:
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.shape[0])
-    return inverse
 
 
 def apply_rotation_batch(amps: np.ndarray, kind: GateKind, target: int,
@@ -294,15 +287,9 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         perms.append(ring)
         segments.append({})
 
-    fixed: list[GateOp] = []
     bound: list[GateOp] = []
-    runs: list[list[int]] = []
+    runs: list[list[GateOp]] = []
     shapes: dict = {}
-
-    def add_run(run: list[GateOp]) -> int:
-        runs.append(list(range(len(fixed), len(fixed) + len(run))))
-        fixed.extend(run)
-        return len(runs) - 1
 
     def add_chain(chain: list[GateOp], segment: int) -> tuple[int, int]:
         split, feature_ids, run = [], [], []
@@ -320,24 +307,24 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         trained = [i for i, r in enumerate(kept) if any(g.param_id is not None for g in r)]
         key = (lead, len(feature_ids))
         members = shapes.setdefault(key, [])
-        members.append(([add_run(r) for r in kept], feature_ids,
+        members.append((list(range(len(runs), len(runs) + len(kept))), feature_ids,
                         min(trained, default=len(kept)), segment))
+        runs.extend(kept)
         return list(shapes).index(key), len(members) - 1
 
     placed = [tuple((q, *add_chain(chain, s)) for q, chain in sorted(segment.items()))
               for s, segment in enumerate(segments)]
     first = {q: (group, chain) for q, group, chain in placed[0]}
-    longest = max([1] + [len(run) for run in runs])
-    table = np.full((longest, len(runs)), len(fixed), dtype=np.int64)
-    for column, run in enumerate(runs):
-        table[:len(run), column] = run
-    cells = [(i, fixed[g].param_id) for i, g in enumerate(table.ravel())
-             if g < len(fixed) and fixed[g].param_id is not None]
+    shape = (max([1] + [len(run) for run in runs]), len(runs), 1)
+    # The (L, R) cells position-major; None pads a run shorter than L.
+    cells = [run[i] if i < len(run) else None for i in range(shape[0]) for run in runs]
+    slots = [(i, g.param_id) for i, g in enumerate(cells)
+             if g is not None and g.param_id is not None]
     sources = [g.feature_id for g in bound]
 
-    def pauli(ops: list[GateOp], pad: int) -> np.ndarray:
-        rows = [_MINUS_I_PAULI[g.kind] for g in ops] + [(0, 0, 0, 0)] * pad
-        return np.array(rows, dtype=np.complex128).reshape(-1, 4).T[:, :, None]
+    def pauli(ops: list) -> np.ndarray:
+        rows = [(0, 0, 0, 0) if g is None else _MINUS_I_PAULI[g.kind] for g in ops]
+        return np.array(rows, dtype=np.complex128).reshape(-1, 4).T[..., None]
 
     def rows(members: list, column: int) -> np.ndarray:
         return np.array([m[column] for m in members], dtype=np.int64).reshape(len(members), -1).T
@@ -347,47 +334,43 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
                      if any(needed(g) for chain in segment.values() for g in chain)),
                     len(segments))
 
-    fixed_pauli, feature_pauli = pauli(fixed, 1), pauli(bound, 0)
+    run_pauli, feature_pauli = pauli(cells).reshape(4, *shape), pauli(bound)
     feature_ids = np.array(sources, dtype=np.int64)
     feature_map = np.zeros((len(sources), max(sources, default=-1) + 1))
     known = feature_ids >= 0  # a negative id has no column; no run gets past its check
     feature_map[known, feature_ids[known]] = 1.0
     return _Compiled(
         n_qubits=n_qubits,
-        angles=np.array([0.0 if g.angle is None else g.angle for g in fixed] + [0.0]),
-        param_slots=np.array([i for i, g in enumerate(fixed) if g.param_id is not None],
-                             dtype=np.int64),
-        param_ids=np.array([g.param_id for g in fixed if g.param_id is not None],
-                           dtype=np.int64),
-        pauli=fixed_pauli,
+        angles=np.array([0.0 if g is None or g.angle is None else g.angle
+                         for g in cells]).reshape(shape),
+        pauli=run_pauli,
         feature_ids=feature_ids,
         feature_pauli=feature_pauli,
-        runs=table,
         groups=tuple((lead, rows(members, 0), rows(members, 1), min(m[2] for m in members),
                       max(m[3] for m in members))
                      for (lead, _), members in shapes.items()),
         first=tuple(first.get(q) for q in range(n_qubits)),
-        steps=tuple(zip(perms, placed[1:])),
+        perms=tuple(perms),
         segments=tuple(placed),
-        inverses=tuple(_inverse(perm) for perm in perms),
         stops=(earliest(lambda g: g.param_id is not None), earliest(lambda g: g.angle is None)),
         signs=_z_signs(n_qubits, range(n_qubits)).T,
-        run_pauli_t=fixed_pauli[[0, 2, 1, 3], :, 0][:, table],
+        run_pauli_t=run_pauli[[0, 2, 1, 3], ..., 0],
         feature_pauli_t=feature_pauli[[0, 2, 1, 3], :, 0],
-        param_cells=np.array([i for i, _ in cells], dtype=np.int64),
-        cell_params=np.array([p for _, p in cells], dtype=np.int64),
+        param_cells=np.array([i for i, _ in slots], dtype=np.int64),
+        cell_params=np.array([p for _, p in slots], dtype=np.int64),
         feature_map=feature_map,
     )
 
 
 def _gate_matrices(circuit: _Compiled, params, features):
-    """Each row-independent gate as a (4, G + 1, 1) matrix, and the (F, batch)
-    cos and sin of each feature-bound gate's half angle (None without any)."""
+    """The (4, L, R, 1) matrix of each run cell (the identity in a padding
+    cell), and the (F, batch) cos and sin of each feature-bound gate's half
+    angle (None without any)."""
     half = circuit.angles.copy()
-    if circuit.param_ids.size:
-        half[circuit.param_slots] = params[circuit.param_ids]
-    half = 0.5 * half[:, None]
-    mats = _IDENTITY * np.cos(half) + circuit.pauli * np.sin(half)
+    if circuit.cell_params.size:
+        half.reshape(-1)[circuit.param_cells] = params[circuit.cell_params]
+    half = 0.5 * half
+    mats = _IDENTITY[:, None] * np.cos(half) + circuit.pauli * np.sin(half)
     if not circuit.feature_ids.size:
         return mats, None, None
     half_f = 0.5 * features[:, circuit.feature_ids].T
@@ -442,7 +425,7 @@ def run_circuit_batch(n_qubits: int, gates, params=None,
         batch = features.shape[0]
     else:
         batch = 1
-    _check_ids(circuit.param_ids.tolist(), 0 if params is None else params.shape[0],
+    _check_ids(circuit.cell_params.tolist(), 0 if params is None else params.shape[0],
                "param_id")
     _check_ids(circuit.feature_ids.tolist(), 0 if features is None else features.shape[1],
                "feature_id")
@@ -467,9 +450,9 @@ def run_compiled(circuit: _Compiled, params: np.ndarray | None,
     src, dst, tmp, *scratch = _WORKSPACE.split(size, size, size // 2,
                                               *_fuse_sizes(circuit, batch))
     mats, cos_f, sin_f = _gate_matrices(circuit, params, features)
-    runs = mats[:, circuit.runs[0]]
-    for later in circuit.runs[1:]:
-        runs = _product(mats[:, later], runs)
+    runs = mats[:, 0]
+    for i in range(1, mats.shape[1]):
+        runs = _product(mats[:, i], runs)
     fused = [_fuse(circuit, runs, cos_f, sin_f, group, room)
              for group, room in zip(circuit.groups, scratch)]
 
@@ -480,7 +463,7 @@ def run_compiled(circuit: _Compiled, params: np.ndarray | None,
         out = dst.reshape(-1)[:2 * amps.size].reshape(-1, 2, batch)
         amps = np.multiply(amps[:, None], column, out=out).reshape(-1, batch)
         src, dst = dst, src
-    for perm, chains in circuit.steps:
+    for perm, chains in zip(circuit.perms, circuit.segments[1:]):
         np.take(src, perm, axis=0, out=dst, mode="clip")
         src, dst = dst, src
         for qubit, group, chain in chains:
@@ -522,13 +505,14 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
     Adjoint method (Jones & Gacon, arXiv:2009.02823) on the segment table:
     phi starts at the final state and lam at O phi, O = sum_m c_bm Z_m, both
     stacked in one (2**n, 2 * batch) workspace state; the undo steps and
-    inverse gathers alternate between the two state buffers and conj(lam)
-    lives in the temporary. Walking the segments backwards,
+    scatters alternate between the two state buffers and conj(lam) lives in
+    the temporary. Walking the segments backwards,
     the sweep first reads, for each chain U on qubit q, the 2x2 environment
     E[c, a] = sum over the other qubits of phi[..c..] conj(lam[..a..]); then
-    it undoes the segment, U^H on each qubit and the inverse permutation of
-    the CNOT run before it. The earliest segment is never undone, and the
-    sweep ends at the earliest segment holding a gate to differentiate. For
+    it undoes the segment, U^H on each qubit, and the CNOT run before it by
+    scattering through the permutation the forward gathered through. The
+    earliest segment is never undone, and the sweep ends at the earliest
+    segment holding a gate to differentiate, at once if none does. For
     a gate j of U, with Suf_j the product of U's gates after it,
     d<O>/d theta_j = Re tr(-iP_j Suf_j^H E Suf_j), in 2x2 algebra stacked over
     all chains of one shape. A row-independent suffix reads the environment
@@ -539,8 +523,6 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
     batch = final.shape[1]
     input_grad = np.zeros(features.shape) if input_gradient else None
     stop = circuit.stops[input_gradient]
-    if stop == len(circuit.segments):
-        return np.zeros(params.shape[0]), input_grad
     # A chain shape's environment stays per row if its walk crosses a feature gate.
     rowwise = [feature_rows.shape[0] > 0 and (input_gradient or first < run_rows.shape[0] - 1)
                for _, run_rows, feature_rows, first, _ in circuit.groups]
@@ -549,12 +531,12 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
     undone = [group[4] > stop for group in circuit.groups]
 
     suffixes = [None]  # suffixes[L - 1 - j]: product of each run's gates after position j
-    if any(rowwise) or any(undone) or circuit.runs.shape[0] > 1:
+    if any(rowwise) or any(undone) or circuit.angles.shape[0] > 1:
         mats, cos_f, sin_f = _gate_matrices(circuit, params, features)
-        full = mats[:, circuit.runs[-1]]
-        for earlier in circuit.runs[-2::-1]:
+        full = mats[:, -1]
+        for i in range(mats.shape[1] - 2, -1, -1):
             suffixes.append(full)
-            full = _product(full, mats[:, earlier])
+            full = _product(full, mats[:, i])
     size = 2**circuit.n_qubits * 2 * batch
     stacked, spare, tmp, *scratch = _WORKSPACE.split(size, size, size // 2,
                                                     *_fuse_sizes(circuit, batch))
@@ -582,13 +564,13 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
         for qubit, group, chain in chains:
             _apply_fused(stacked, undo[group][:, chain], qubit, spare, tmp)
             stacked, spare = spare, stacked
-        np.take(stacked, circuit.inverses[k - 1], axis=0, out=spare, mode="clip")
+        spare[circuit.perms[k - 1]] = stacked
         stacked, spare = spare, stacked
 
     # Walk each chain shape from its last run leftwards while an earlier gate
     # still needs a gradient: m is Suf^H E Suf at the current position. Left
     # of run r lie feature gate r - lead, then run r - 1, and so on.
-    run_env = np.zeros((4, circuit.runs.shape[1]), dtype=np.complex128)
+    run_env = np.zeros((4, circuit.angles.shape[1]), dtype=np.complex128)
     if input_gradient:
         feature_grad = np.zeros((circuit.feature_ids.shape[0], batch))
     for (lead, run_rows, feature_rows, first, _), m in zip(circuit.groups, envs):
@@ -611,8 +593,9 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
         shifted = _conjugate(cell_env, np.stack(suffixes[:0:-1], axis=1)[..., 0])
         cell_env = np.concatenate([shifted, cell_env], axis=1)
     cell_grad = np.einsum("kjr,kjr->jr", circuit.run_pauli_t, cell_env).real.ravel()
+    # float64 also with no parameter cell, where bincount returns integers.
     param_grad = np.bincount(circuit.cell_params, weights=cell_grad[circuit.param_cells],
-                             minlength=params.shape[0])
+                             minlength=params.shape[0]).astype(np.float64, copy=False)
     if input_gradient:
         input_grad[:, :circuit.feature_map.shape[1]] = feature_grad.T @ circuit.feature_map
     return param_grad, input_grad

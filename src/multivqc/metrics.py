@@ -1,7 +1,8 @@
 """Confusion-matrix counting and precision/recall/F1.
 
-All three ratios use an explicit 0/0 -> 0 convention, flagged on the result
-so downstream ranking stays deterministic and NaN-free.
+All three ratios read 0/0 as 0, so ranking stays deterministic and NaN-free.
+A result is its three numbers only, so a sweep row's metrics read back from
+JSON equal to the row that wrote them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    degenerate: bool = False  # a 0/0 convention fired somewhere
 
 
 def confusion(
@@ -55,21 +55,17 @@ def confusion(
     )
 
 
-def _ratio(num: int, den: int) -> tuple[float, bool]:
+def _ratio(num: float, den: float) -> float:
     if den == 0:
-        return 0.0, True
-    return num / den, False
+        return 0.0
+    return num / den
 
 
 def compute_metrics(counts: ConfusionCounts) -> Metrics:
-    precision, p_deg = _ratio(counts.tp, counts.tp + counts.fp)
-    recall, r_deg = _ratio(counts.tp, counts.tp + counts.fn)
-    if precision + recall == 0.0:
-        f1, f_deg = 0.0, True
-    else:
-        f1, f_deg = 2.0 * precision * recall / (precision + recall), False
-    return Metrics(precision=precision, recall=recall, f1=f1,
-                   degenerate=p_deg or r_deg or f_deg)
+    precision = _ratio(counts.tp, counts.tp + counts.fp)
+    recall = _ratio(counts.tp, counts.tp + counts.fn)
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
+    return Metrics(precision=precision, recall=recall, f1=f1)
 
 
 def evaluate(

@@ -355,7 +355,7 @@ def cell_seed(base_seed: int, cell_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, cell_index]).generate_state(1)[0])
 
 
-_FAILED_METRICS = Metrics(0.0, 0.0, 0.0, degenerate=True)
+_FAILED_METRICS = Metrics(0.0, 0.0, 0.0)
 
 
 def run_cell(

@@ -1,0 +1,89 @@
+"""Mutants the test suite must kill: run ``python tests/mutants.py``.
+
+Each mutant replaces one exact piece of source text with a broken version
+and names the tests that must then fail. The script applies each mutant to
+its own temporary copy of the repository, runs only the named tests there
+and prints ``killed`` when every one of them fails, else ``survived``. It
+exits 1 if any mutant survives, and stops with an error if a mutant's old
+text no longer occurs exactly once: a refactor that moves the code carries
+its mutants forward.
+
+Pytest does not collect this file, so the tier-1 suite does not run it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORE = "src/multivqc/core.py"
+ADJOINT = "tests/test_gradients.py::TestAdjointGradient::"
+SHIFT_LISTS = ADJOINT + "test_random_gate_lists_match_shift_reference"
+SHIFT_SHAPES = ADJOINT + "test_matches_shift_rule_reference_across_shapes"
+ORACLE_LISTS = "tests/test_core.py::TestCompiledRunner::test_random_gate_lists_match_oracle"
+
+# (name, file, old text, new text, tests that must fail)
+MUTANTS = [
+    ("undo gathers through the CNOT permutation instead of scattering", CORE,
+     "        spare[circuit.perms[k - 1]] = stacked\n",
+     "        np.take(stacked, circuit.perms[k - 1], axis=0, out=spare, mode=\"clip\")\n",
+     (SHIFT_LISTS,)),
+    ("parameter cells indexed run-major in the position-major table", CORE,
+     "    slots = [(i, g.param_id) for i, g in enumerate(cells)\n",
+     "    slots = [(i % len(runs) * shape[0] + i // len(runs), g.param_id)\n"
+     "             for i, g in enumerate(cells)\n",
+     (ORACLE_LISTS, SHIFT_LISTS, SHIFT_SHAPES)),
+    ("padding cells at angle 1", CORE,
+     "        angles=np.array([0.0 if g is None or g.angle is None else g.angle\n",
+     "        angles=np.array([1.0 if g is None else 0.0 if g.angle is None else g.angle\n",
+     (ORACLE_LISTS, SHIFT_LISTS, SHIFT_SHAPES)),
+    ("suffix products multiplied in the wrong order", CORE,
+     "            full = _product(full, mats[:, i])\n",
+     "            full = _product(mats[:, i], full)\n",
+     (SHIFT_LISTS, SHIFT_SHAPES)),
+    ("sweep stops one segment early", CORE,
+     "    for k in range(len(circuit.segments) - 1, stop - 1, -1):\n",
+     "    for k in range(len(circuit.segments) - 1, stop, -1):\n",
+     (SHIFT_LISTS, SHIFT_SHAPES)),
+]
+
+
+def apply(tree: Path, path: str, old: str, new: str) -> None:
+    target = tree / path
+    text = target.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit(f"error: old text occurs {text.count(old)} times in {path}, "
+                         f"not once:\n{old}")
+    target.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def fails(tree: Path, test: str) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                             test], cwd=tree, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):  # 0 passed, 1 some failed; else it did not run
+        raise SystemExit(f"error: pytest could not run {test}:\n{result.stdout}{result.stderr}")
+    return result.returncode == 1
+
+
+def main() -> int:
+    survived = 0
+    for name, path, old, new, tests in MUTANTS:
+        with tempfile.TemporaryDirectory() as scratch:
+            tree = Path(scratch)
+            for part in ("src", "tests", "bench"):
+                shutil.copytree(ROOT / part, tree / part,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            apply(tree, path, old, new)
+            missed = [test for test in tests if not fails(tree, test)]
+        survived += bool(missed)
+        print(f"{'survived' if missed else 'killed'}: {name}"
+              + "".join(f"\n  passes: {test}" for test in missed), flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -433,13 +433,15 @@ class TestAdjointGradient:
     @pytest.mark.parametrize("n_qubits", range(1, 9))
     def test_random_gate_lists_match_shift_reference(self, n_qubits):
         # Segment shapes no template builds: CNOTs on any pair, CNOT runs
-        # back to back, CNOT-only and CNOT-free lists, one param_id on two
-        # gates, and feature gates after parameter gates in one chain, which
-        # sends the sweep through per-row suffixes. Every n_measured and both
-        # input_gradient settings, against the shift rule.
+        # back to back, CNOT-only and CNOT-free lists, a list of fixed-angle
+        # rotations only (nothing to differentiate, at 1 qubit too), one
+        # param_id on two gates, and feature gates after parameter gates in
+        # one chain, which sends the sweep through per-row suffixes. Every
+        # n_measured and both input_gradient settings, against the shift rule.
         rng = np.random.default_rng(80 + n_qubits)
         RX, RY, RZ = GateKind.RX, GateKind.RY, GateKind.RZ
         last = n_qubits - 1
+        qubits = range(n_qubits)
         circuits = [
             [rotation(RZ, last, param_id=0), rotation(RY, last, feature_id=1),
              rotation(RX, last, param_id=0), rotation(RY, last, param_id=2),
@@ -457,7 +459,7 @@ class TestAdjointGradient:
             ]
         circuits += [random_gate_list(rng, n_qubits, int(rng.integers(1, 30)), 3, 3)
                      for _ in range(6 if n_qubits < 7 else 3)]
-        qubits = range(n_qubits)
+        circuits.append([rotation(kind, q, angle=0.4 + q) for q in qubits for kind in (RX, RZ)])
         for gates in circuits:
             params = rng.uniform(-np.pi, 2 * np.pi, 3)
             X = rng.uniform(-np.pi, np.pi, size=(int(rng.integers(1, 5)), 3))

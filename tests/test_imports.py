@@ -1,9 +1,10 @@
-"""Every name a ``multivqc`` module imports is used by that module, and
-every name it defines at top level is used somewhere.
+"""Every name a ``multivqc`` module imports is used by that module, every
+name it defines at top level is used somewhere, and every dataclass field is
+read somewhere.
 
 An import kept only so that other code can look the name up on the module
-hides dead code, and so does a function, class or constant that nothing
-reads. ``__init__.py`` exists to re-export names and is exempt.
+hides dead code, and so does a function, class, constant or field that
+nothing reads. ``__init__.py`` exists to re-export names and is exempt.
 """
 
 import ast
@@ -103,3 +104,51 @@ UNREAD_IN_SRC = {
 
 def test_names_no_src_module_reads_are_listed():
     assert unreferenced(MODULES) == sorted(UNREAD_IN_SRC)
+
+
+def dataclass_fields(source: str) -> set[str]:
+    """``Class.field`` of each field a module's dataclasses declare."""
+    fields = set()
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields.update(f"{node.name}.{item.target.id}" for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+    return fields
+
+
+def attribute_reads(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_checker_sees_only_attribute_reads():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n    Z = 1\n"
+              "@dataclass\nclass B:\n    w: int\nclass C:\n    v: int\n"
+              "def f(a, b):\n    a.y = b.w\n    return A(x=1), getattr(a, 'x')\n")
+    assert dataclass_fields(source) == {"A.x", "A.y", "B.w"}
+    assert attribute_reads(source) == {"w"}
+
+
+# Dataclass fields that no src module reads as an attribute, with the code
+# outside src that reads each one. A field nothing reads is dead weight that
+# every writer still has to fill in.
+UNREAD_FIELDS = {
+    "model.ForwardTrace.stage_inputs": "tests/oracles.py",
+    "model.ForwardTrace.stage_expectations": "bench/oracle.py",
+    "training.LayerSearchReport.tried_layer_counts": "tests/test_training.py",
+    "training.LayerSearchReport.validation_losses": "tests/test_training.py",
+    "training.LayerSearchReport.stop_reason": "tests/test_training.py",
+}
+
+
+def test_dataclass_fields_no_src_module_reads_are_listed():
+    reads = set()
+    for path in MODULES:
+        reads |= attribute_reads(path.read_text(encoding="utf-8"))
+    unread = sorted(f"{path.stem}.{field}" for path in MODULES
+                    for field in dataclass_fields(path.read_text(encoding="utf-8"))
+                    if field.split(".")[1] not in reads)
+    assert unread == sorted(UNREAD_FIELDS)

@@ -68,11 +68,10 @@ class TestComputeMetrics:
         assert metrics.precision == 0.0
         assert metrics.recall == 0.0
         assert metrics.f1 == 0.0
-        assert metrics.degenerate
 
     def test_no_predictions_no_positives_all_zero(self):
         metrics = compute_metrics(ConfusionCounts(tp=0, fp=0, fn=0, tn=4))
-        assert metrics.f1 == 0.0 and metrics.degenerate
+        assert metrics.f1 == 0.0
 
     def test_equal_precision_recall_equals_f1(self):
         counts = ConfusionCounts(tp=6, fp=2, fn=2, tn=5)
@@ -122,4 +121,3 @@ class TestEvaluate:
         labels = np.array([0, 1, 1, 0])
         metrics = evaluate(labels, labels)
         assert metrics.precision == metrics.recall == metrics.f1 == 1.0
-        assert not metrics.degenerate

@@ -462,6 +462,12 @@ class TestSweepRows:
                            batch_size=12, seed=3)
         cells = build_grid((2,), (1,))[:2]
         rows = run_cells(cells, {2: parts}, tcfg, max_layers=2)
+        # A failed row, and a row whose test metrics hit the 0/0 convention.
+        rows.append(run_cell(SweepCell(9, 3, 1, Encoding.RY, Ansatz.BASIC, False), parts, tcfg,
+                             max_layers=2))
+        rows.append(replace(rows[0], cell=10, test=evaluate(np.zeros(4, dtype=np.int64),
+                                                            np.array([0, 1, 0, 1]))))
+        assert rows[2].status == "failed" and rows[3].test.precision == 0.0
         payload = json.loads(json.dumps(sweep_rows_to_json_dict(rows, base_seed=3)))
         assert payload["format"] == "multivqc-sweep/1"
         assert payload["seed"] == 3
