@@ -3,7 +3,8 @@
 Optimized by full-batch Adam on the weighted binary cross entropy and
 stopped by the circuit trainer's one early-stopping rule,
 ``training.keep_best``. Deterministic: parameters start at zero, so no RNG
-is involved.
+is involved. ``run_baseline`` turns one fit into a sweep row, the job the
+sweep runs for each feature count beside its grid cells.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import DataError
 from .metrics import Metrics, evaluate
 from .pipeline import SplitDataset
-from .training import Adam, TrainConfig, compute_class_weights, keep_best
+from .training import Adam, SweepRow, TrainConfig, compute_class_weights, keep_best
 
 
 @dataclass(frozen=True)
@@ -107,3 +108,17 @@ def logreg_split_metrics(model: LogRegModel, data: SplitDataset) -> tuple[Metric
         predictions, _ = predict_logreg(model, part.features)
         out.append(evaluate(predictions, part.labels))
     return tuple(out)
+
+
+def run_baseline(index: int, data: SplitDataset, tcfg: TrainConfig) -> SweepRow:
+    """The sweep row at cell ``index`` of a logistic baseline fitted on ``data``."""
+    report = fit_logreg(data, tcfg=tcfg)
+    m_train, m_val, m_test = logreg_split_metrics(report.model, data)
+    k = data.train.n_features
+    return SweepRow(
+        cell=index, model="logreg", features=k, n_vqcs=None,
+        encoding=None, ansatz=None, reuploading=None, layers=None,
+        n_params=k + 1, val_loss=report.val_losses[report.best_epoch],
+        train=m_train, validation=m_val, test=m_test, status="ok",
+        train_curve=report.train_losses, val_curve=report.val_losses,
+    )

@@ -24,7 +24,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .baseline import fit_logreg, logreg_split_metrics
+from .baseline import fit_logreg, logreg_split_metrics, run_baseline
 from .datasets import DATASET_NAMES, resolve_dataset
 from .errors import (
     ConfigError,
@@ -62,6 +62,7 @@ from .training import (
     SweepRow,
     TrainConfig,
     build_grid,
+    cell_job,
     check_counts,
     compute_class_weights,
     rank_rows,
@@ -392,6 +393,15 @@ def _read_marker(path: Path, base_seed: int, index: int, identity: tuple) -> Swe
     return row
 
 
+def _run_and_mark(job, path: Path, base_seed: int) -> SweepRow:
+    """Run one sweep row's job and write the row's marker from the process
+    that ran it, so a stopped sweep keeps the marker of every row it finished."""
+    row = job()
+    _write_json(path, {"format": CELL_MARKER_FORMAT, "base_seed": base_seed,
+                       "row": sweep_row_to_json(row)})
+    return row
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides, {} if args.workers is None
                              else {"sweep": {"workers": args.workers}})
@@ -415,41 +425,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          for k in feature_counts}
 
     out = _output_dir(config)
-    cells_dir = out / "cells"
-    cells_dir.mkdir(exist_ok=True)
-
-    def marker(index: int) -> Path:
-        return cells_dir / f"cell_{index:04d}.json"
-
-    done: dict[int, SweepRow] = {}
-    if args.resume:
-        done = {index: _read_marker(marker(index), tcfg.seed, index, identity)
-                for index, identity in expected.items() if marker(index).is_file()}
-    pending = tuple(cell for cell in grid if cell.index not in done)
+    (out / "cells").mkdir(exist_ok=True)
+    markers = {index: out / "cells" / f"cell_{index:04d}.json" for index in expected}
+    done = {index: _read_marker(markers[index], tcfg.seed, index, identity)
+            for index, identity in expected.items() if args.resume and markers[index].is_file()}
     print(f"sweep: {len(expected)} rows ({len(done)} already done, "
           f"{len(expected) - len(done)} to run), {sweep_cfg['workers']} worker(s)")
-    fresh = run_cells(pending, datasets_by_width, tcfg,
-                      rescale=Rescale(config["model"]["rescale"]),
-                      max_layers=sweep_cfg["max_layers"], max_workers=sweep_cfg["workers"])
+    rescale = Rescale(config["model"]["rescale"])
+    jobs = []
     for index, (model, k, *_) in expected.items():
-        if model != "logreg" or index in done:
-            continue
-        data = datasets_by_width[k]
-        logreg = fit_logreg(data, tcfg=tcfg)
-        m_train, m_val, m_test = logreg_split_metrics(logreg.model, data)
-        fresh.append(SweepRow(
-            cell=index, model="logreg", features=k, n_vqcs=None,
-            encoding=None, ansatz=None, reuploading=None, layers=None,
-            n_params=k + 1, val_loss=logreg.val_losses[logreg.best_epoch],
-            train=m_train, validation=m_val, test=m_test, status="ok",
-            train_curve=tuple(logreg.train_losses),
-            val_curve=tuple(logreg.val_losses),
-        ))
-    for row in fresh:
-        _write_json(marker(row.cell), {"format": CELL_MARKER_FORMAT, "base_seed": tcfg.seed,
-                                       "row": sweep_row_to_json(row)})
-        done[row.cell] = row
-    rows = list(done.values())
+        if index not in done:
+            job = (partial(run_baseline, index, datasets_by_width[k], tcfg) if model == "logreg"
+                   else partial(cell_job, grid[index], datasets_by_width[k], tcfg, rescale,
+                                sweep_cfg["max_layers"]))
+            jobs.append(partial(_run_and_mark, job, markers[index], tcfg.seed))
+    rows = [*done.values(), *run_cells(jobs, max_workers=sweep_cfg["workers"])]
 
     ok_rows = [r for r in rows if r.status == "ok"]
     if not ok_rows:

@@ -404,7 +404,7 @@ class Pipeline:
         if not isinstance(payload, dict) or payload.get("format") != PIPELINE_FORMAT:
             raise ConfigError("not a serialized pipeline document")
         try:
-            pipe = cls(payload["n_components"], tuple(payload["angle_range"]))
+            pipe = cls(payload["n_components"], payload["angle_range"])
             fitted = {section: {name: np.asarray(payload[section][name],
                                                  dtype=bool if name == "kept" else np.float64)
                                 for name in arrays}

@@ -12,15 +12,17 @@ fixed number of rounds in a row without improvement. Training stops after
 
 Layer search retrains from scratch at increasing layer counts and stops
 once the validation loss has not improved for as many consecutive counts
-as the circuit has qubits. The sweep driver runs the hyperparameter grid,
-one seeded RNG stream per cell, so serial and parallel execution produce
-identical tables.
+as the circuit has qubits. The sweep runner, ``run_cells``, takes one job
+per sweep row (grid cells and logistic baselines alike) and runs them
+serially or on a process pool; each cell draws its own seeded RNG stream,
+so serial and parallel execution produce identical tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from collections.abc import Iterable
@@ -405,9 +407,11 @@ def run_cell(
         )
 
 
-def _run_cell_payload(payload: tuple) -> SweepRow:
-    *args, max_layers = payload
-    return run_cell(*args, max_layers=max_layers)
+def cell_job(cell: SweepCell, data: SplitDataset, tcfg: TrainConfig, rescale: Rescale,
+             max_layers: int) -> SweepRow:
+    """``run_cell`` as this module holds it when the job runs, so a partial of
+    this function pickles to a pool worker even while ``run_cell`` is wrapped."""
+    return run_cell(cell, data, tcfg, rescale, max_layers=max_layers)
 
 
 def _usable_cpus() -> int:
@@ -416,28 +420,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_cells(
-    cells: tuple[SweepCell, ...],
-    datasets_by_width: dict[int, SplitDataset],
-    tcfg: TrainConfig,
-    rescale: Rescale = Rescale.PI,
-    *,
-    max_layers: int,
-    max_workers: int = 1,
-) -> list[SweepRow]:
-    """Run grid cells serially or on a process pool of at most ``max_workers``,
-    pending cells and usable CPUs; the result list is in the order of
-    ``cells`` either way."""
-    payloads = [(cell, datasets_by_width[cell.features], tcfg, rescale, max_layers)
-                for cell in cells]
-    workers = min(max_workers, len(cells), _usable_cpus())
-    if workers < min(max_workers, len(cells)):
+def run_cells(jobs: list, max_workers: int = 1) -> list[SweepRow]:
+    """Run sweep jobs, each a picklable zero-argument call returning one row,
+    serially or on a process pool of at most ``max_workers``, jobs and usable
+    CPUs; the rows come back in the order of ``jobs`` either way."""
+    workers = min(max_workers, len(jobs), _usable_cpus())
+    if workers < min(max_workers, len(jobs)):
         print(f"note: sweep.workers={max_workers} capped at {workers}, the usable CPU count",
               file=sys.stderr)
     if workers <= 1:
-        return [_run_cell_payload(p) for p in payloads]
+        return [job() for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell_payload, payloads))
+        return list(pool.map(operator.call, jobs))
 
 
 def rank_rows(rows: list[SweepRow]) -> list[SweepRow]:

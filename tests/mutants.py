@@ -24,6 +24,10 @@ ADJOINT = "tests/test_gradients.py::TestAdjointGradient::"
 SHIFT_LISTS = ADJOINT + "test_random_gate_lists_match_shift_reference"
 SHIFT_SHAPES = ADJOINT + "test_matches_shift_rule_reference_across_shapes"
 ORACLE_LISTS = "tests/test_core.py::TestCompiledRunner::test_random_gate_lists_match_oracle"
+CLI = "src/multivqc/cli.py"
+SWEEP = "tests/test_cli.py::TestSweep::"
+INTERRUPTED = SWEEP + "test_interrupted_sweep_resumes_without_redoing_finished_rows"
+WRAPPED = SWEEP + "test_pooled_jobs_pickle_while_run_cell_is_wrapped"
 
 # (name, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -48,6 +52,24 @@ MUTANTS = [
      "    for k in range(len(circuit.segments) - 1, stop - 1, -1):\n",
      "    for k in range(len(circuit.segments) - 1, stop, -1):\n",
      (SHIFT_LISTS, SHIFT_SHAPES)),
+    ("sweep markers written in a loop after every row is done", CLI,
+     "            jobs.append(partial(_run_and_mark, job, markers[index], tcfg.seed))\n"
+     "    rows = [*done.values(), *run_cells(jobs, max_workers=sweep_cfg[\"workers\"])]\n",
+     "            jobs.append(job)\n"
+     "    fresh = run_cells(jobs, max_workers=sweep_cfg[\"workers\"])\n"
+     "    for row in fresh:\n"
+     "        _write_json(markers[row.cell], {\"format\": CELL_MARKER_FORMAT,\n"
+     "                                        \"base_seed\": tcfg.seed,\n"
+     "                                        \"row\": sweep_row_to_json(row)})\n"
+     "    rows = [*done.values(), *fresh]\n",
+     (INTERRUPTED,)),
+    ("grid job holds run_cell as it was when the job was built", CLI,
+     "                   else partial(cell_job, grid[index], datasets_by_width[k], tcfg, rescale,\n"
+     "                                sweep_cfg[\"max_layers\"]))\n",
+     "                   else partial(sys.modules[\"multivqc.training\"].run_cell,\n"
+     "                                grid[index], datasets_by_width[k], tcfg, rescale,\n"
+     "                                max_layers=sweep_cfg[\"max_layers\"]))\n",
+     (WRAPPED,)),
 ]
 
 

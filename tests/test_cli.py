@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -411,6 +412,11 @@ def _three_number_angle_range(run_dir):
     _edit_key(run_dir, "pipeline.json", "angle_range", lambda _: [0.0, 1.0, 2.0])
 
 
+def _unknown_named_angle_range(run_dir):
+    _edit_key(run_dir, "pipeline.json", "angle_range", lambda _: "zero")
+    return "'zero'"  # the error names the value as written, not its characters
+
+
 def _nan_model_param(run_dir):
     _edit_key(run_dir, "model.json", "params", lambda params: [float("nan"), *params[1:]])
 
@@ -436,14 +442,15 @@ class TestEvalUnreadableRun:
                                         _nan_pca_mean, _infinite_angle_range,
                                         _three_number_angle_range, _nan_model_param,
                                         _string_model_param, _string_n_components,
-                                        _fractional_n_components])
+                                        _fractional_n_components, _unknown_named_angle_range])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
-        damage(out_dir)
+        named = damage(out_dir)
         capsys.readouterr()
         assert main(["eval", "--run-dir", str(out_dir)]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err
+        assert named is None or named in captured.err
         _assert_one_error_line(captured)
         assert not (out_dir / "eval_metrics.csv").exists()
 
@@ -574,6 +581,13 @@ class TestTrainEval:
         eval_bytes = (out_dir / "eval_metrics.csv").read_bytes()
         assert train_bytes == eval_bytes
 
+    def test_eval_reads_a_named_angle_range_as_a_config_file_does(self, out_dir):
+        assert main(["train", *FAST_TRAIN]) == 0  # the default range, 0_pi
+        _edit_key(out_dir, "pipeline.json", "angle_range", lambda _: "0_pi")
+        assert main(["eval", "--run-dir", str(out_dir)]) == 0
+        assert (out_dir / "eval_metrics.csv").read_bytes() == \
+            (out_dir / "metrics.csv").read_bytes()
+
     def test_eval_reproduces_metrics_of_a_middle_best_epoch(self, out_dir):
         assert main(["train", *MIDDLE_BEST_TRAIN]) == 0
         report = json.loads((out_dir / "train_report.json").read_text())
@@ -665,6 +679,49 @@ class TestSweep:
             (outputs[1] / "sweep.csv").read_bytes()
         assert (outputs[0] / "summary.csv").read_bytes() == \
             (outputs[1] / "summary.csv").read_bytes()
+
+    def test_interrupted_sweep_resumes_without_redoing_finished_rows(self, out_dir, tmp_path,
+                                                                     monkeypatch):
+        run_cell, calls = training.run_cell, []
+
+        def counted_run_cell(*args, **kwargs):
+            calls.append(args[0].index)
+            if calls == [0, 1, 2, 3]:  # the first sweep stops in its fourth cell
+                raise RuntimeError("sweep stopped")
+            return run_cell(*args, **kwargs)
+        monkeypatch.setattr(training, "run_cell", counted_run_cell)
+        with pytest.raises(RuntimeError, match="sweep stopped"):
+            main(["sweep", *FAST_SWEEP])
+        assert sorted(path.name for path in (out_dir / "cells").iterdir()) == \
+            ["cell_0000.json", "cell_0001.json", "cell_0002.json"]
+        assert not list(out_dir.rglob("*.tmp"))
+        calls.clear()
+        assert main(["sweep", "--resume", *FAST_SWEEP]) == 0
+        assert calls == [3, 4, 5, 6, 7]
+
+        monkeypatch.setattr(training, "run_cell", run_cell)
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "whole"))
+        assert main(["sweep", *FAST_SWEEP]) == 0
+        for name in ("sweep.csv", "sweep.json", "summary.csv"):
+            assert (out_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    def test_pooled_jobs_pickle_while_run_cell_is_wrapped(self, tmp_path, monkeypatch):
+        # The benchmark's tracer replaces training.run_cell with a wrapper
+        # like this one before the sweep builds its jobs.
+        monkeypatch.delenv("MULTIVQC_DATA_DIR", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run_cell = training.run_cell
+
+        def wrapper(*args, **kwargs):
+            return run_cell(*args, **kwargs)
+        tables = []
+        for run, workers in (("serial", "1"), ("pooled", "2")):
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / run))
+            if workers == "2":
+                monkeypatch.setattr(training, "run_cell", wrapper)
+            assert main(["sweep", "--workers", workers, *FAST_SWEEP]) == 0
+            tables.append((tmp_path / run / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("damage", [_incomplete_marker, _baseline_other_seed,
                                         _grid_marker_on_baseline, _non_object_marker])

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from multivqc.training import (
     SweepRow,
     TrainConfig,
     build_grid,
+    cell_job,
     cell_seed,
     compute_class_weights,
     keep_best,
@@ -47,6 +49,11 @@ def angle_split(n=100, seed=4, split_seed=0):
     x1 = np.where(labels == 0, high2, low2)
     data = Dataset("angles", np.column_stack([x0, x1]), labels, ("a0", "a1"))
     return split(data, (0.6, 0.2, 0.2), seed=split_seed)
+
+
+def cell_jobs(cells, data, tcfg):
+    """One sweep job per grid cell, at the default rescale and at most 2 layers."""
+    return [partial(cell_job, cell, data, tcfg, Rescale.PI, 2) for cell in cells]
 
 
 def toy_config(n_vqcs=1, layers=1):
@@ -388,8 +395,8 @@ class TestSweepRows:
         tcfg = TrainConfig(max_epochs=2, patience=1, learning_rate=0.1,
                            batch_size=12, seed=3)
         cells = build_grid((2,), (1,))[:4]
-        serial = run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=1)
-        parallel = run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=2)
+        serial = run_cells(cell_jobs(cells, parts, tcfg), max_workers=1)
+        parallel = run_cells(cell_jobs(cells, parts, tcfg), max_workers=2)
         assert serial == parallel
         assert [row.cell for row in serial] == [cell.index for cell in cells]
 
@@ -416,13 +423,13 @@ class TestSweepRows:
         tcfg = TrainConfig(max_epochs=2, patience=1, learning_rate=0.1,
                            batch_size=12, seed=3)
         cells = build_grid((2,), (1,))[:3]
-        serial = run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=1)
+        serial = run_cells(cell_jobs(cells, parts, tcfg), max_workers=1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=5000) == serial
+        assert run_cells(cell_jobs(cells, parts, tcfg), max_workers=5000) == serial
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "sweep.workers=5000 capped at 2" in err
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert run_cells(cells, {2: parts}, tcfg, max_layers=2, max_workers=5000) == serial
+        assert run_cells(cell_jobs(cells, parts, tcfg), max_workers=5000) == serial
         assert capsys.readouterr().err == ""
         assert sizes == [2, 3]
 
@@ -461,7 +468,7 @@ class TestSweepRows:
         tcfg = TrainConfig(max_epochs=2, patience=1, learning_rate=0.1,
                            batch_size=12, seed=3)
         cells = build_grid((2,), (1,))[:2]
-        rows = run_cells(cells, {2: parts}, tcfg, max_layers=2)
+        rows = run_cells(cell_jobs(cells, parts, tcfg))
         # A failed row, and a row whose test metrics hit the 0/0 convention.
         rows.append(run_cell(SweepCell(9, 3, 1, Encoding.RY, Ansatz.BASIC, False), parts, tcfg,
                              max_layers=2))
