@@ -6,7 +6,9 @@ JSON file merged over built-in defaults, with dotted flag overrides such as
 1 configuration error, 2 data error, 3 numerical failure.
 
 Every command checks every config leaf against ``LEAVES``, whether it reads
-the leaf or not, and ``eval`` checks the saved run's config the same way.
+the leaf or not, and rejects any other key. ``eval`` checks the saved run's
+config the same way, and pipeline.json and model.json against their own
+leaf tables, before any data loads.
 
 All artifacts are timestamp-free CSV/JSON with stable key ordering, so a
 rerun with the same config and seed is byte-identical, and each is written
@@ -32,6 +34,8 @@ from .errors import (
     MultiVqcError,
     NumericalError,
     check_bool,
+    check_document,
+    check_equal,
     check_int,
     check_str,
 )
@@ -80,7 +84,7 @@ OUTPUT_DIR_ENV = "MULTIVQC_OUTPUT_DIR"
 
 
 # Every config leaf: dotted path -> (default, check). DEFAULT_CONFIG is built
-# from the defaults, and check_config runs every check whichever command runs.
+# from the defaults, and every command checks the config against CONFIG_LEAVES.
 # A check takes the dotted path and the value and raises ConfigError naming
 # the path; the model.*, train.* and split.* checks are the ones
 # MultiVqcConfig, TrainConfig and split run themselves.
@@ -120,18 +124,7 @@ def _default_config() -> dict:
 
 
 DEFAULT_CONFIG: dict = _default_config()
-
-
-def check_config(config, where: str) -> None:
-    """Run every leaf's check on ``config``; a missing leaf is a ConfigError
-    naming ``where`` and the leaf's dotted path."""
-    for path, (_, check) in LEAVES.items():
-        value = config
-        for key in path.split("."):
-            if not isinstance(value, dict) or key not in value:
-                raise ConfigError(f"{where} lacks key {path!r}")
-            value = value[key]
-        check(path, value)
+CONFIG_LEAVES = {path: check for path, (_, check) in LEAVES.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,18 +134,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _deep_merge(base: dict, overlay: dict, path: str = "") -> dict:
+def _deep_merge(base: dict, overlay: dict) -> dict:
+    """``overlay`` merged over ``base``; the merged config's check rejects the rest."""
     merged = dict(base)
     for key, value in overlay.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where!r} must be an object")
-            merged[key] = _deep_merge(base[key], value, where)
-        else:
-            merged[key] = value
+        both = isinstance(base.get(key), dict) and isinstance(value, dict)
+        merged[key] = _deep_merge(base[key], value) if both else value
     return merged
 
 
@@ -205,7 +192,7 @@ def load_run_config(config_path: str | None, override_tokens: list[str],
         config = _deep_merge(config, file_config)
     for overlay in (parse_overrides(override_tokens), flags or {}):
         config = _deep_merge(config, overlay)
-    check_config(config, "config")
+    check_document(CONFIG_LEAVES, config, "config")
     return config
 
 
@@ -289,11 +276,6 @@ def _metrics_records(config: dict, dataset_name: str,
     } for split_name, m in zip(("train", "validation", "test"), split_metrics)]
 
 
-def _resolved_config_payload(config: dict, source: str, path: str) -> dict:
-    return {"format": "multivqc-run-config/1", "config": config,
-            "data_source": source, "dataset_path": path}
-
-
 def cmd_pca_report(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides,
                              {} if args.dataset is None else {"dataset": args.dataset})
@@ -323,8 +305,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                                    config["angle_range"])
     report = train(model_cfg, encoded, tcfg)
     out = _output_dir(config)
-    _write_json(out / "resolved_config.json",
-                _resolved_config_payload(config, source, path))
+    _write_json(out / "resolved_config.json", {"format": "multivqc-run-config/1",
+                                                "config": config, "data_source": source,
+                                                "dataset_path": path})
     save_model(str(out / "model.json"), model_cfg, report.final_params)
     _write_json(out / "pipeline.json", pipe.to_json_dict())
     _write_json(out / "train_report.json", train_report_to_json_dict(
@@ -353,10 +336,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not isinstance(payload, dict) or "config" not in payload:
         raise ConfigError(f"run config {config_path} lacks key 'config'")
     config = payload["config"]
-    check_config(config, f"run config {config_path}")
-    raw_split, _, _ = _load_split(config)
+    check_document(CONFIG_LEAVES, config, f"run config {config_path}")
     pipe = Pipeline.from_json_dict(read_json(run_dir / "pipeline.json", "pipeline file"))
     model, store = load_model(str(run_dir / "model.json"))
+    raw_split, _, _ = _load_split(config)
     data = _encode_with(pipe, raw_split)
     split_metrics = [evaluate(model.predict_batch(store, part.features), part.labels)
                      for part in (data.train, data.validation, data.test)]
@@ -381,13 +364,13 @@ def _read_marker(path: Path, base_seed: int, index: int, identity: tuple) -> Swe
     the cell expected at ``index``; any other marker is a ConfigError."""
     payload = read_json(path, "sweep cell marker")
     try:
-        if not isinstance(payload, dict) or payload.get("format") != CELL_MARKER_FORMAT:
-            raise ConfigError(f"not a {CELL_MARKER_FORMAT} marker")
-        row = sweep_row_from_json(payload.get("row"))
-        found = (payload.get("base_seed"), row.cell, row.model, row.features,
-                 row.n_vqcs, row.encoding, row.ansatz, row.reuploading)
-        if found != (base_seed, index, *identity):
-            raise ConfigError("produced by a different grid or seed")
+        row = check_document({"format": partial(check_equal, expected=CELL_MARKER_FORMAT),
+                              "base_seed": partial(check_equal, expected=base_seed),
+                              "row": lambda _, record: sweep_row_from_json(record)},
+                             payload, "marker")["row"]
+        if (row.cell, row.model, row.features, row.n_vqcs, row.encoding, row.ansatz,
+                row.reuploading) != (index, *identity):
+            raise ConfigError(f"its row is not cell {index} of this grid")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}; clear {path.parent} to start over") from None
     return row

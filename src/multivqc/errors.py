@@ -1,10 +1,11 @@
-"""Exception hierarchy shared across the package, plus config value checks.
+"""Exception hierarchy shared across the package, plus value and document checks.
 
 The CLI maps these onto stable exit codes: ConfigError -> 1,
 DataError -> 2, NumericalError -> 3.
 """
 
 import numbers
+import sys
 
 
 class MultiVqcError(Exception):
@@ -62,3 +63,52 @@ def check_enum(name: str, value, enum_type):
     except ValueError:
         choices = ", ".join(member.value for member in enum_type)
         raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None
+
+
+def check_real(name: str, value) -> float:
+    """``value`` if it is a number (not a bool) that is finite and fits a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):  # also rejects NaN
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def check_equal(name: str, value, expected):
+    """``value`` if it has the type of ``expected`` and equals it."""
+    if type(value) is not type(expected) or value != expected:
+        raise ConfigError(f"{name} must be {expected!r}, got {value!r}")
+    return value
+
+
+def check_list(name: str, value, item) -> list:
+    """``value`` if it is a list whose every entry passes the check ``item``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    for i, entry in enumerate(value):
+        item(f"{name}[{i}]", entry)
+    return value
+
+
+def check_document(table: dict, document, where: str) -> dict:
+    """Each leaf's checked value by path, when ``document`` holds every leaf
+    of ``table`` (dotted path -> check) and no key that is not a leaf or on
+    the path to one; else a ConfigError naming the path."""
+    checked = {}
+    for path, check in table.items():
+        value = document
+        for key in path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise ConfigError(f"{where} lacks key {path!r}")
+            value = value[key]
+        checked[path] = check(path, value)
+    leaves = {tuple(path.split(".")) for path in table}
+    sections = {parts[:i] for parts in leaves for i in range(1, len(parts))}
+    nodes = [((), document)]
+    for prefix, node in nodes:  # grows by each section met
+        for key, value in node.items():
+            parts = (*prefix, key)
+            if parts in sections:
+                nodes.append((parts, value))
+            elif parts not in leaves:
+                raise ConfigError(f"{where} has unknown key {'.'.join(parts)!r}")
+    return checked

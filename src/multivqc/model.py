@@ -22,7 +22,8 @@ import numpy as np
 
 from . import core
 from .core import GateOp, MAX_QUBITS, _compile, run_compiled
-from .errors import ConfigError, check_bool, check_enum, check_int
+from .errors import (ConfigError, check_bool, check_document, check_enum, check_equal,
+                     check_int, check_list, check_real)
 from .params import ParamStore
 from .pipeline import read_json, write_json
 from .templates import Ansatz, Encoding, VqcConfig, build_vqc
@@ -244,30 +245,26 @@ def model_to_json_dict(config: MultiVqcConfig, store: ParamStore) -> dict:
     }
 
 
+# Every leaf of model.json: dotted path -> check, as cli.LEAVES is for the
+# config. model_from_json_dict checks the parameter layout after the leaves.
+MODEL_LEAVES = {
+    "format": partial(check_equal, expected=MODEL_FORMAT),
+    **{f"config.{field}": check for field, check in MODEL_CHECKS.items()},
+    "param_counts": partial(check_list, item=partial(check_int, low=0)),
+    "params": partial(check_list, item=check_real),
+}
+
+
 def model_from_json_dict(payload: dict) -> tuple[MultiVqcModel, ParamStore]:
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ConfigError(
-            f"not a {MODEL_FORMAT} document (format={payload.get('format')!r})"
-            if isinstance(payload, dict) else "model document must be a JSON object"
-        )
-    try:
-        config = MultiVqcConfig(**payload["config"])
-        counts = tuple(check_int("param_counts entry", c, 0) for c in payload["param_counts"])
-        values = payload["params"]
-        if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
-            raise ValueError("params must be a list of numbers")
-        values = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("params hold a NaN or infinite value")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed model document: {exc}") from exc
-    model = MultiVqcModel(config)
+    """The model and parameters of a ``model_to_json_dict`` document. Beyond
+    its leaves, ``param_counts`` must be the layout the config implies."""
+    check_document(MODEL_LEAVES, payload, "model.json")
+    model = MultiVqcModel(MultiVqcConfig(**payload["config"]))
+    counts = tuple(payload["param_counts"])
     if counts != model.param_counts:
-        raise ConfigError(
-            f"stored parameter layout {counts} does not match config-derived "
-            f"layout {model.param_counts}"
-        )
-    return model, ParamStore(counts, values)
+        raise ConfigError(f"model.json: stored parameter layout {counts} does not match "
+                          f"the config-derived layout {model.param_counts}")
+    return model, ParamStore(counts, np.asarray(payload["params"], dtype=np.float64))
 
 
 def save_model(path: str, config: MultiVqcConfig, store: ParamStore) -> None:

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
-import sys
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
@@ -30,7 +28,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, PipelineStateError, check_int
+from .errors import (ConfigError, DataError, PipelineStateError, check_bool, check_document,
+                     check_equal, check_int, check_list, check_real)
 
 PIPELINE_FORMAT = "multivqc-pipeline/1"
 
@@ -46,11 +45,10 @@ def _check_angle_range(name: str, value) -> tuple[float, float]:
     of finite numbers with low < high."""
     if isinstance(value, str) and value in ANGLE_RANGES:
         return ANGLE_RANGES[value]
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and not any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value)
-            and all(abs(v) <= sys.float_info.max for v in value)  # finite, fits a float
-            and float(value[0]) < float(value[1])):
-        return float(value[0]), float(value[1])
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        low, high = (float(check_real(f"{name}[{i}]", v)) for i, v in enumerate(value))
+        if low < high:
+            return low, high
     raise ConfigError(f"{name} must be one of {sorted(ANGLE_RANGES)} or a [low, high] "
                       f"pair of finite numbers with low < high, got {value!r}")
 
@@ -59,8 +57,7 @@ def _check_fractions(name: str, value) -> tuple[float, float, float]:
     """``value`` as three floats in (0, 1]: split fractions before their sum
     is checked."""
     if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in value)
-            or any(not 0.0 < f <= 1.0 for f in value)):  # also rejects NaN and huge ints
+            or not all(0.0 < check_real(f"{name}[{i}]", f) <= 1.0 for i, f in enumerate(value))):
         raise ConfigError(f"{name} must be three numbers in (0, 1], got {value!r}")
     return tuple(float(f) for f in value)
 
@@ -349,6 +346,18 @@ _LAYOUT = {
     "encoder": {"mins": "k", "maxs": "k"},
 }
 
+# Every leaf of pipeline.json: dotted path -> check, as cli.LEAVES is for the
+# config. Every _LAYOUT array holds finite numbers but scaler.kept, of bools.
+_NUMBERS = partial(check_list, item=check_real)
+PIPELINE_LEAVES = {
+    "format": partial(check_equal, expected=PIPELINE_FORMAT),
+    "n_components": PIPELINE_CHECKS["n_components"],
+    "angle_range": PIPELINE_CHECKS["angle_range"],
+    **{f"{section}.{name}": _NUMBERS for section, arrays in _LAYOUT.items() for name in arrays},
+    "scaler.kept": partial(check_list, item=check_bool),
+    "pca.components": partial(check_list, item=_NUMBERS),
+}
+
 
 class Pipeline:
     """Scale, project, and encode, in that order and no other.
@@ -401,30 +410,32 @@ class Pipeline:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Pipeline":
-        if not isinstance(payload, dict) or payload.get("format") != PIPELINE_FORMAT:
-            raise ConfigError("not a serialized pipeline document")
-        try:
-            pipe = cls(payload["n_components"], payload["angle_range"])
-            fitted = {section: {name: np.asarray(payload[section][name],
-                                                 dtype=bool if name == "kept" else np.float64)
-                                for name in arrays}
-                      for section, arrays in _LAYOUT.items()}
-            kept = fitted["scaler"]["kept"]
-            sizes = {"d": kept.size, "m": int(np.sum(kept)), "k": pipe.n_components}
-            for section, arrays in _LAYOUT.items():
-                for name, dims in arrays.items():
-                    shape, expected = fitted[section][name].shape, tuple(sizes[d] for d in dims)
-                    if shape != expected:
-                        raise ValueError(f"{section}.{name} has shape {shape}, "
-                                         f"expected {expected}")
-                    if not np.all(np.isfinite(fitted[section][name])):
-                        raise ValueError(f"{section}.{name} holds a NaN or infinite value")
-            for fit_range in (fitted["scaler"], fitted["encoder"]):
-                if not np.all(fit_range["mins"] <= fit_range["maxs"]):
-                    raise ValueError("a fitted minimum is above its maximum")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed pipeline document: {exc}") from exc
-        pipe.fitted = fitted
+        """The fitted pipeline of a ``to_json_dict`` document. Beyond its
+        leaves, each array must have its ``_LAYOUT`` shape, each kept scaler
+        column min < max (``_fit_scaler`` drops the others), each encoder
+        column min <= max (a constant component has min == max), and the
+        component rows must be orthonormal."""
+        check_document(PIPELINE_LEAVES, payload, "pipeline.json")
+        pipe = cls(payload["n_components"], payload["angle_range"])
+        kept = payload["scaler"]["kept"]
+        sizes = {"d": len(kept), "m": sum(kept), "k": pipe.n_components}
+        pipe.fitted = {section: {} for section in _LAYOUT}
+        for section, arrays in _LAYOUT.items():
+            for name, dims in arrays.items():
+                array = np.array(payload[section][name], dtype=object)  # a ragged one is 1-D
+                if array.shape != tuple(sizes[d] for d in dims):
+                    raise ConfigError(f"pipeline.json: {section}.{name} has shape {array.shape}, "
+                                      f"expected {tuple(sizes[d] for d in dims)}")
+                pipe.fitted[section][name] = array.astype(bool if name == "kept" else np.float64)
+        scaler, pca, encoder = pipe.fitted.values()
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            gram = pca["components"] @ pca["components"].T
+        if not np.all(scaler["mins"] < scaler["maxs"]):
+            raise ConfigError("pipeline.json: a kept scaler column has min >= max")
+        if not np.all(encoder["mins"] <= encoder["maxs"]):
+            raise ConfigError("pipeline.json: an encoder column has min > max")
+        if not np.all(np.abs(gram - np.eye(pipe.n_components)) <= 1e-9):
+            raise ConfigError("pipeline.json: the pca.components rows are not orthonormal")
         return pipe
 
 

@@ -32,7 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MultiVqcError, NumericalError, check_int
+from .errors import (ConfigError, DataError, MultiVqcError, NumericalError, check_int,
+                     check_list, check_real)
 from .gradients import batch_loss_gradient
 from .metrics import Metrics, evaluate
 from .model import (
@@ -48,8 +49,7 @@ from .templates import Ansatz, Encoding
 
 
 def _check_rate(name: str, value) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 < value <= sys.float_info.max):
+    if not check_real(name, value) > 0.0:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
     return value
 
@@ -302,9 +302,7 @@ class SweepCell:
 
 def check_counts(name: str, value) -> list[int]:
     """``value`` if it is a list of distinct integers >= 1: a sweep grid axis."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    if len({check_int(f"{name} entry", v, 1) for v in value}) != len(value):
+    if len(set(check_list(name, value, partial(check_int, low=1)))) != len(value):
         raise ConfigError(f"{name} must not repeat an entry, got {value!r}")
     return value
 

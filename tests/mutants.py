@@ -8,7 +8,9 @@ exits 1 if any mutant survives, and stops with an error if a mutant's old
 text no longer occurs exactly once: a refactor that moves the code carries
 its mutants forward.
 
-Pytest does not collect this file, so the tier-1 suite does not run it.
+Pytest does not collect this file, so the tier-1 suite does not run the
+mutants; ``tests/test_mutants.py`` checks in tier-1 that each old text still
+occurs once and each named test still exists.
 """
 
 import os
@@ -28,6 +30,8 @@ CLI = "src/multivqc/cli.py"
 SWEEP = "tests/test_cli.py::TestSweep::"
 INTERRUPTED = SWEEP + "test_interrupted_sweep_resumes_without_redoing_finished_rows"
 WRAPPED = SWEEP + "test_pooled_jobs_pickle_while_run_cell_is_wrapped"
+MARKER_DAMAGE = SWEEP + "test_resume_rejects_markers_from_other_seed"
+EVAL_DAMAGE = "tests/test_cli.py::TestEvalUnreadableRun::test_damaged_artifact_is_config_error"
 
 # (name, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -70,6 +74,22 @@ MUTANTS = [
      "                                grid[index], datasets_by_width[k], tcfg, rescale,\n"
      "                                max_layers=sweep_cfg[\"max_layers\"]))\n",
      (WRAPPED,)),
+    ("pipeline.json component rows not checked for orthonormality", "src/multivqc/pipeline.py",
+     "        if not np.all(np.abs(gram - np.eye(pipe.n_components)) <= 1e-9):\n",
+     "        if False:\n",
+     (EVAL_DAMAGE + "[_huge_pca_components]", EVAL_DAMAGE + "[_doubled_component_row]")),
+    ("document checker accepts keys its table does not name", "src/multivqc/errors.py",
+     "            elif parts not in leaves:\n"
+     "                raise ConfigError(f\"{where} has unknown key {'.'.join(parts)!r}\")\n",
+     "",
+     (EVAL_DAMAGE + "[_unknown_pipeline_key]", EVAL_DAMAGE + "[_unknown_model_key]",
+      EVAL_DAMAGE + "[_unknown_model_config_key]", EVAL_DAMAGE + "[_unknown_run_config_leaf]",
+      MARKER_DAMAGE + "[_unknown_marker_key]")),
+    ("marker seed compared with ==, so false passes for seed 0", CLI,
+     "                              \"base_seed\": partial(check_equal, expected=base_seed),\n",
+     "                              \"base_seed\": lambda name, seed: seed if seed == base_seed\n"
+     "                              else check_equal(name, seed, base_seed),\n",
+     (MARKER_DAMAGE + "[_false_base_seed]",)),
 ]
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -17,8 +18,14 @@ from multivqc.cli import (
     parse_overrides,
 )
 from multivqc.errors import ConfigError, NumericalError
-from multivqc.model import MultiVqcConfig, MultiVqcModel, save_model
-from multivqc.pipeline import SCHEMA_KEYS
+from multivqc.model import (
+    MODEL_LEAVES,
+    MultiVqcConfig,
+    MultiVqcModel,
+    model_from_json_dict,
+    save_model,
+)
+from multivqc.pipeline import PIPELINE_LEAVES, SCHEMA_KEYS, Pipeline
 
 BUNDLED = Path(cli.__file__).parent / "bundled"
 
@@ -78,11 +85,33 @@ REJECTED_LEAF_VALUES = [
     for path, (_, check) in LEAVES.items()
     for label, value in WRONG_VALUES.items() if _rejects(check, path, value)
 ]
+# The same pairs for the leaf tables of the two saved documents eval reads,
+# each with the reader that checks it.
+SAVED_DOCUMENTS = {"model.json": (MODEL_LEAVES, model_from_json_dict),
+                   "pipeline.json": (PIPELINE_LEAVES, Pipeline.from_json_dict)}
+SAVED_LEAVES = [pytest.param(name, path, id=f"{name}:{path}")
+                for name, (table, _) in SAVED_DOCUMENTS.items() for path in table]
+REJECTED_SAVED_VALUES = [
+    pytest.param(name, path, value, id=f"{name}:{path}={label}")
+    for name, (table, _) in SAVED_DOCUMENTS.items() for path, check in table.items()
+    for label, value in WRONG_VALUES.items() if _rejects(check, path, value)
+]
 REJECTED_SCHEMA_VALUES = [
     pytest.param(key, value, id=f"{key}={label}")
     for key, (_, ok) in SCHEMA_KEYS.items()
     for label, value in WRONG_VALUES.items() if not ok(value)
 ]
+
+
+def _with_leaf(payload: dict, path: str, value) -> dict:
+    """A copy of ``payload`` with the leaf at the dotted ``path`` set to ``value``."""
+    payload = json.loads(json.dumps(payload))
+    *sections, key = path.split(".")
+    node = payload
+    for section in sections:
+        node = node[section]
+    node[key] = value
+    return payload
 
 
 def _nested(path: str, value) -> dict:
@@ -433,6 +462,52 @@ def _fractional_n_components(run_dir):
     _edit_key(run_dir, "pipeline.json", "n_components", lambda count: count + 0.5)
 
 
+def _first_max_at_its_min(fitted: dict) -> dict:
+    return {**fitted, "maxs": [fitted["mins"][0], *fitted["maxs"][1:]]}
+
+
+def _constant_kept_scaler_column(run_dir):
+    _edit_key(run_dir, "pipeline.json", "scaler", _first_max_at_its_min)
+    return "min >= max"
+
+
+def _huge_pca_components(run_dir):
+    _edit_pipeline(run_dir, "pca", "components",
+                   lambda rows: [[1e308 * v for v in row] for row in rows])
+    return "orthonormal"
+
+
+def _doubled_component_row(run_dir):
+    _edit_pipeline(run_dir, "pca", "components",
+                   lambda rows: [[2.0 * v for v in rows[0]], *rows[1:]])
+    return "orthonormal"
+
+
+def _add_bogus_key(run_dir, name):
+    path = run_dir / name
+    path.write_text(json.dumps({**json.loads(path.read_text()), "bogus": 1}), encoding="utf-8")
+    return "unknown key 'bogus'"
+
+
+def _unknown_pipeline_key(run_dir):
+    return _add_bogus_key(run_dir, "pipeline.json")
+
+
+def _unknown_model_key(run_dir):
+    return _add_bogus_key(run_dir, "model.json")
+
+
+def _unknown_model_config_key(run_dir):
+    _edit_key(run_dir, "model.json", "config", lambda config: {**config, "bogus": 1})
+    return "'config.bogus'"
+
+
+def _unknown_run_config_leaf(run_dir):
+    _edit_key(run_dir, "resolved_config.json", "config",
+              lambda config: _with_leaf(config, "train.bogus", 1))
+    return "'train.bogus'"
+
+
 class TestEvalUnreadableRun:
     @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
                                         _drop_run_config_object, _drop_run_config_key,
@@ -442,7 +517,11 @@ class TestEvalUnreadableRun:
                                         _nan_pca_mean, _infinite_angle_range,
                                         _three_number_angle_range, _nan_model_param,
                                         _string_model_param, _string_n_components,
-                                        _fractional_n_components, _unknown_named_angle_range])
+                                        _fractional_n_components, _unknown_named_angle_range,
+                                        _constant_kept_scaler_column, _huge_pca_components,
+                                        _doubled_component_row, _unknown_pipeline_key,
+                                        _unknown_model_key, _unknown_model_config_key,
+                                        _unknown_run_config_leaf])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         named = damage(out_dir)
@@ -507,6 +586,43 @@ class TestEvalChecksRunConfig:
         resolved.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["eval", "--run-dir", str(run_dir)]) == 1
         _assert_one_error_line(capsys.readouterr(), "lacks key 'train.seed'")
+
+
+class TestEvalChecksSavedDocuments:
+    @pytest.mark.parametrize("name, path, value", REJECTED_SAVED_VALUES)
+    def test_reader_rejects_a_wrong_leaf(self, trained_run, name, path, value):
+        _, read = SAVED_DOCUMENTS[name]
+        payload = json.loads((trained_run / name).read_text())
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            read(_with_leaf(payload, path, value))
+
+    @pytest.mark.parametrize("name, path", SAVED_LEAVES)
+    def test_wrong_leaf_in_saved_document_is_config_error(self, trained_run, tmp_path,
+                                                          capsys, name, path):
+        table, _ = SAVED_DOCUMENTS[name]
+        rejected = [v for v in WRONG_VALUES.values() if _rejects(table[path], path, v)]
+        assert rejected
+        payload = json.loads((trained_run / name).read_text())
+        for value in rejected:
+            run_dir = tmp_path / "run"
+            shutil.copytree(trained_run, run_dir)
+            (run_dir / name).write_text(json.dumps(_with_leaf(payload, path, value)),
+                                        encoding="utf-8")
+            assert main(["eval", "--run-dir", str(run_dir)]) == 1
+            captured = capsys.readouterr()
+            _assert_one_error_line(captured, path)
+            assert captured.out == ""  # no dataset was loaded
+            assert not (run_dir / "eval_metrics.csv").exists()
+            shutil.rmtree(run_dir)
+
+    def test_encoder_column_with_min_equal_to_max_is_accepted(self, trained_run, tmp_path):
+        # A constant component is fitted with min == max and encodes to the
+        # midpoint, so unlike a kept scaler column it is a valid document.
+        run_dir = tmp_path / "run"
+        shutil.copytree(trained_run, run_dir)
+        _edit_key(run_dir, "pipeline.json", "encoder", _first_max_at_its_min)
+        assert main(["eval", "--run-dir", str(run_dir)]) == 0
+        assert (run_dir / "eval_metrics.csv").is_file()
 
 
 class _Unprintable:
@@ -640,6 +756,20 @@ def _non_object_marker(cells_dir):
     (cells_dir / "cell_0003.json").write_text("[1, 2]", encoding="utf-8")
 
 
+def _false_base_seed(cells_dir):
+    marker = cells_dir / "cell_0002.json"
+    payload = json.loads(marker.read_text())
+    assert payload["base_seed"] == 0
+    payload["base_seed"] = False
+    marker.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _unknown_marker_key(cells_dir):
+    marker = cells_dir / "cell_0002.json"
+    payload = json.loads(marker.read_text())
+    marker.write_text(json.dumps({**payload, "bogus": 1}), encoding="utf-8")
+
+
 class TestSweep:
     def test_sweep_writes_ranked_tables(self, out_dir):
         assert main(["sweep", *FAST_SWEEP]) == 0
@@ -724,7 +854,8 @@ class TestSweep:
         assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("damage", [_incomplete_marker, _baseline_other_seed,
-                                        _grid_marker_on_baseline, _non_object_marker])
+                                        _grid_marker_on_baseline, _non_object_marker,
+                                        _false_base_seed, _unknown_marker_key])
     def test_resume_rejects_markers_from_other_seed(self, out_dir, capsys,
                                                     monkeypatch, damage):
         assert main(["sweep", *FAST_SWEEP]) == 0
