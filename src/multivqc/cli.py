@@ -37,10 +37,12 @@ from .errors import (
     check_document,
     check_equal,
     check_int,
+    check_optional,
     check_str,
 )
 from .metrics import evaluate
 from .model import (
+    MAX_LAYERS,
     MODEL_CHECKS,
     MultiVqcConfig,
     MultiVqcModel,
@@ -90,7 +92,7 @@ OUTPUT_DIR_ENV = "MULTIVQC_OUTPUT_DIR"
 # MultiVqcConfig, TrainConfig and split run themselves.
 LEAVES = {
     "dataset": ("prostate", check_str),
-    "schema": (None, lambda name, value: value if value is None else check_str(name, value)),
+    "schema": (None, check_optional(check_str)),
     "n_components": (3, PIPELINE_CHECKS["n_components"]),
     "angle_range": ("0_pi", PIPELINE_CHECKS["angle_range"]),
     "split.fractions": ([0.6, 0.2, 0.2], PIPELINE_CHECKS["fractions"]),
@@ -108,7 +110,8 @@ LEAVES = {
     "train.seed": (0, TRAIN_CHECKS["seed"]),
     "sweep.feature_counts": ([2, 3], check_counts),
     "sweep.vqc_counts": ([1, 2, 3], check_counts),
-    "sweep.max_layers": (20, partial(check_int, low=1)),
+    # The layer search builds models of up to this many layers.
+    "sweep.max_layers": (20, partial(check_int, low=1, high=MAX_LAYERS)),
     "sweep.workers": (1, partial(check_int, low=1)),
     "sweep.include_baseline": (True, check_bool),
     "output_dir": ("multivqc-out", check_str),
@@ -339,6 +342,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     check_document(CONFIG_LEAVES, config, f"run config {config_path}")
     pipe = Pipeline.from_json_dict(read_json(run_dir / "pipeline.json", "pipeline file"))
     model, store = load_model(str(run_dir / "model.json"))
+    if not config["n_components"] == pipe.n_components == model.config.n_features:
+        raise ConfigError(f"{config_path} (n_components {config['n_components']}), pipeline.json "
+                          f"({pipe.n_components}) and model.json (config.n_features "
+                          f"{model.config.n_features}) disagree")
     raw_split, _, _ = _load_split(config)
     data = _encode_with(pipe, raw_split)
     split_metrics = [evaluate(model.predict_batch(store, part.features), part.labels)
@@ -426,7 +433,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     ok_rows = [r for r in rows if r.status == "ok"]
     if not ok_rows:
-        raise NumericalError("every sweep cell failed; see cells/*.json")
+        raise NumericalError(f"every sweep cell failed, e.g. cell {rows[0].cell}: "
+                             f"{rows[0].error}; see cells/*.json")
     ranked = rank_rows(rows)
     _write_csv(out / "sweep.csv", SWEEP_CSV_COLUMNS,
                [sweep_row_record(rank, row)

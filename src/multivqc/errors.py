@@ -35,10 +35,10 @@ class PipelineStateError(MultiVqcError):
 
 def check_int(name: str, value, low: int, high: float = float("inf")) -> int:
     """``value`` if it is an integer (not a bool) in the range ``low..high``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not low <= value <= high):
-        bounds = f">= {low}" if high == float("inf") else f"in {low}..{high}"
-        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    if value > high:
+        raise ConfigError(f"{name} must be an integer <= {high}, got {value!r}")
     return value
 
 
@@ -87,6 +87,12 @@ def check_list(name: str, value, item) -> list:
     for i, entry in enumerate(value):
         item(f"{name}[{i}]", entry)
     return value
+
+
+def check_optional(check, blank=None, means=None):
+    """``check``, but a ``blank`` value passes as ``means``: a leaf that may be
+    left out (null) or that a CSV column writes as ``""``."""
+    return lambda name, value: means if value == blank else check(name, value)
 
 
 def check_document(table: dict, document, where: str) -> dict:

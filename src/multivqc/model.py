@@ -65,16 +65,19 @@ def rescale_derivative(values: np.ndarray, mode: Rescale) -> np.ndarray:
 
 def _check_layers(name: str, value) -> int | tuple[int, ...]:
     if isinstance(value, (tuple, list)):
-        return tuple(check_int(f"{name} entry", v, 1) for v in value)
-    return check_int(name, value, 1)
+        return tuple(check_int(f"{name} entry", v, 1, MAX_LAYERS) for v in value)
+    return check_int(name, value, 1, MAX_LAYERS)
 
 
+# One circuit layer compiles to about 10 KB of gate tables at 8 qubits, so the
+# largest chain, 100 circuits of 100 layers, builds in about 100 MB.
+MAX_CIRCUITS = MAX_LAYERS = 100
 # One check per MultiVqcConfig field, returning the field's stored value. The
 # CLI's config table points its model.* leaves at the same checks.
 MODEL_CHECKS = {
     "n_features": partial(check_int, low=2, high=MAX_QUBITS),
     "n_classes": partial(check_int, low=2),
-    "n_vqcs": partial(check_int, low=1),
+    "n_vqcs": partial(check_int, low=1, high=MAX_CIRCUITS),
     "encoding": partial(check_enum, enum_type=Encoding),
     "ansatz": partial(check_enum, enum_type=Ansatz),
     "n_layers": _check_layers,

@@ -29,7 +29,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import (ConfigError, DataError, PipelineStateError, check_bool, check_document,
-                     check_equal, check_int, check_list, check_real)
+                     check_equal, check_int, check_list, check_optional, check_real, check_str)
 
 PIPELINE_FORMAT = "multivqc-pipeline/1"
 
@@ -159,34 +159,42 @@ def write_json(path, payload) -> None:
 PROFILE_KEYS = ("expected_rows", "expected_features", "expected_class1")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check_file_name(name: str, value) -> str:
+    if check_str(name, value) in ("", ".", "..") or set("/\\") & set(value):
+        raise ConfigError(f"{name} must be a file name: not '', '.' or '..', and without "
+                          f"'/' or '\\', got {value!r}")
+    return value
 
 
-# Every schema key load_csv reads, with what its value must be. Only "name"
-# and "label_column" are required.
-SCHEMA_KEYS = {
-    "name": ("a file name: a string other than '', '.' and '..', without '/' or '\\'",
-             lambda v: isinstance(v, str) and v not in ("", ".", "..")
-             and not set("/\\") & set(v)),
-    "label_column": ("a string", lambda v: isinstance(v, str)),
-    "label_mapping": ("an object mapping labels to integers",
-                      lambda v: isinstance(v, dict) and all(_is_int(x) for x in v.values())),
-    "drop_columns": ("a list of strings",
-                     lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v)),
-    **{key: ("an integer", _is_int) for key in PROFILE_KEYS},
-}
+def _check_label_mapping(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object mapping labels to integers, got {value!r}")
+    for label, mapped in value.items():
+        check_int(f"{name}[{label!r}]", mapped, 0)
+    return value
+
+
+# Every schema key load_csv reads, with its check; each check names the key
+# quoted. load_schema fills in SCHEMA_DEFAULTS, so only "name" and
+# "label_column" are required. An empty label_mapping reads labels as numbers.
+SCHEMA_DEFAULTS = {"label_mapping": {}, "drop_columns": [], **dict.fromkeys(PROFILE_KEYS)}
+SCHEMA_LEAVES = {key: lambda key, value, check=check: check(f"schema key {key!r}", value)
+                 for key, check in {
+                     "name": _check_file_name,
+                     "label_column": check_str,
+                     "label_mapping": _check_label_mapping,
+                     "drop_columns": partial(check_list, item=check_str),
+                     **dict.fromkeys(PROFILE_KEYS, check_optional(partial(check_int, low=0))),
+                 }.items()}
 
 
 def load_schema(path: str) -> dict:
-    """Read a dataset schema file, type-checking every key ``load_csv`` reads."""
+    """Read a dataset schema file: SCHEMA_DEFAULTS with the file's keys over
+    them, every key checked against SCHEMA_LEAVES."""
     schema = read_json(path, "schema file")
-    if not isinstance(schema, dict) or "name" not in schema or "label_column" not in schema:
-        raise ConfigError(f"schema file {path} needs 'name' and 'label_column'")
-    for key, (what, ok) in SCHEMA_KEYS.items():
-        if key in schema and not ok(schema[key]):
-            raise ConfigError(
-                f"schema file {path}: {key!r} must be {what}, got {schema[key]!r}")
+    if isinstance(schema, dict):
+        schema = {**SCHEMA_DEFAULTS, **schema}
+    check_document(SCHEMA_LEAVES, schema, f"schema file {path}")
     return schema
 
 
@@ -228,7 +236,7 @@ def load_csv(path: str, schema: dict) -> Dataset:
                     f"{path}:{row_no}: expected {len(header)} fields, got {len(row)}"
                 )
             raw_label = row[label_idx].strip()
-            if label_mapping is None:
+            if not label_mapping:
                 what = "is"
                 try:
                     label = float(raw_label)

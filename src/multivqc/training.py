@@ -20,7 +20,6 @@ so serial and parallel execution produce identical tables.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -32,8 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, MultiVqcError, NumericalError, check_int,
-                     check_list, check_real)
+from .errors import (ConfigError, DataError, MultiVqcError, NumericalError, check_bool,
+                     check_document, check_int, check_list, check_optional, check_real,
+                     check_str)
 from .gradients import batch_loss_gradient
 from .metrics import Metrics, evaluate
 from .model import (
@@ -57,10 +57,13 @@ def _check_rate(name: str, value) -> float:
 # One check per TrainConfig field; the CLI's config table points its train.*
 # leaves at the same checks.
 TRAIN_CHECKS = {
-    "max_epochs": partial(check_int, low=1),
-    "patience": partial(check_int, low=1),
+    # train_report.json keeps about 350 bytes per epoch: 35 MB at the cap.
+    "max_epochs": partial(check_int, low=1, high=100_000),
+    # A longer patience than the epoch cap could never stop training.
+    "patience": partial(check_int, low=1, high=100_000),
     "learning_rate": _check_rate,
-    "batch_size": partial(check_int, low=1),
+    # A gradient step holds about 26 KB per batch row at 8 qubits: 0.4 GB at the cap.
+    "batch_size": partial(check_int, low=1, high=16_384),
     "seed": partial(check_int, low=0),
 }
 
@@ -442,34 +445,29 @@ def rank_rows(rows: list[SweepRow]) -> list[SweepRow]:
     return sorted(rows, key=key)
 
 
-SWEEP_CSV_COLUMNS = (
-    "rank", "cell", "model", "features", "n_vqcs", "encoding", "ansatz",
-    "reuploading", "layers", "n_params", "val_loss",
-    "train_precision", "train_recall", "train_f1",
-    "val_precision", "val_recall", "val_f1",
-    "test_precision", "test_recall", "test_f1",
-    "status", "error",
-)
+# Every column of a sweep row's record, in sweep.csv order, with its check.
+# A column written as "" holds None in the row, or an infinite val_loss.
+_METRIC_PREFIXES = {"train": "train", "validation": "val", "test": "test"}
+_COUNT = partial(check_int, low=0)
+SWEEP_ROW_COLUMNS = {
+    "cell": _COUNT, "model": check_str, "features": _COUNT,
+    "n_vqcs": check_optional(_COUNT, ""), "encoding": check_optional(check_str, ""),
+    "ansatz": check_optional(check_str, ""), "reuploading": check_optional(check_bool, ""),
+    "layers": check_optional(_COUNT, ""), "n_params": _COUNT,
+    "val_loss": check_optional(check_real, "", math.inf),
+    **{f"{prefix}_{name}": check_real
+       for prefix in _METRIC_PREFIXES.values() for name in ("precision", "recall", "f1")},
+    "status": check_str, "error": check_str,
+}
+SWEEP_CSV_COLUMNS = ("rank", *SWEEP_ROW_COLUMNS)
 
 
 def sweep_row_record(rank: int, row: SweepRow) -> dict:
-    def opt(value):
-        return "" if value is None else value
-    return {
-        "rank": rank, "cell": row.cell, "model": row.model,
-        "features": row.features, "n_vqcs": opt(row.n_vqcs),
-        "encoding": opt(row.encoding), "ansatz": opt(row.ansatz),
-        "reuploading": opt(row.reuploading), "layers": opt(row.layers),
-        "n_params": row.n_params,
-        "val_loss": row.val_loss if np.isfinite(row.val_loss) else "",
-        "train_precision": row.train.precision, "train_recall": row.train.recall,
-        "train_f1": row.train.f1,
-        "val_precision": row.validation.precision,
-        "val_recall": row.validation.recall, "val_f1": row.validation.f1,
-        "test_precision": row.test.precision, "test_recall": row.test.recall,
-        "test_f1": row.test.f1,
-        "status": row.status, "error": row.error,
-    }
+    values = {**vars(row), "val_loss": row.val_loss if np.isfinite(row.val_loss) else None,
+              **{f"{prefix}_{name}": value for field, prefix in _METRIC_PREFIXES.items()
+                 for name, value in vars(getattr(row, field)).items()}}
+    return {"rank": rank, **{column: "" if values[column] is None else values[column]
+                             for column in SWEEP_ROW_COLUMNS}}
 
 
 def sweep_row_to_json(row: SweepRow) -> dict:
@@ -489,35 +487,25 @@ def sweep_rows_to_json_dict(rows: list[SweepRow], base_seed: int) -> dict:
     }
 
 
+def _check_curve(name: str, value) -> tuple[float, ...]:
+    return tuple(check_list(name, value, check_real))
+
+
+SWEEP_ROW_LEAVES = {**SWEEP_ROW_COLUMNS, "train_curve": _check_curve,
+                    "val_curve": _check_curve}
+
+
 def sweep_row_from_json(record: dict) -> SweepRow:
     """Rebuild a row from its ``sweep_row_to_json`` form (the rank of a
-    ``sweep.json`` row is ignored). A record that lacks a field, or that the
-    rebuilt row does not write back to exactly, is a ConfigError."""
-    def opt(key, kind):
-        return None if record[key] == "" else kind(record[key])
-
-    def metrics(prefix):
-        return Metrics(*(float(record[f"{prefix}_{name}"])
-                         for name in ("precision", "recall", "f1")))
-    try:
-        row = SweepRow(
-            cell=int(record["cell"]), model=str(record["model"]),
-            features=int(record["features"]), n_vqcs=opt("n_vqcs", int),
-            encoding=opt("encoding", str), ansatz=opt("ansatz", str),
-            reuploading=opt("reuploading", bool), layers=opt("layers", int),
-            n_params=int(record["n_params"]),
-            val_loss=float("inf") if record["val_loss"] == "" else float(record["val_loss"]),
-            train=metrics("train"), validation=metrics("val"), test=metrics("test"),
-            status=str(record["status"]), error=str(record["error"]),
-            train_curve=tuple(map(float, record["train_curve"])),
-            val_curve=tuple(map(float, record["val_curve"])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep row lacks a field or has a malformed one: {exc!r}") from None
-    body = {key: value for key, value in record.items() if key != "rank"}
-    if json.dumps(sweep_row_to_json(row), sort_keys=True) != json.dumps(body, sort_keys=True):
-        raise ConfigError("sweep row does not read back to the record it came from")
-    return row
+    ``sweep.json`` row is ignored); a record that fails SWEEP_ROW_LEAVES is
+    a ConfigError."""
+    if isinstance(record, dict):
+        record = {key: value for key, value in record.items() if key != "rank"}
+    values = check_document(SWEEP_ROW_LEAVES, record, "sweep row")
+    metrics = {field: Metrics(*(values.pop(f"{prefix}_{name}")
+                                for name in ("precision", "recall", "f1")))
+               for field, prefix in _METRIC_PREFIXES.items()}
+    return SweepRow(**values, **metrics)
 
 
 def train_report_to_json_dict(

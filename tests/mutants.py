@@ -32,6 +32,8 @@ INTERRUPTED = SWEEP + "test_interrupted_sweep_resumes_without_redoing_finished_r
 WRAPPED = SWEEP + "test_pooled_jobs_pickle_while_run_cell_is_wrapped"
 MARKER_DAMAGE = SWEEP + "test_resume_rejects_markers_from_other_seed"
 EVAL_DAMAGE = "tests/test_cli.py::TestEvalUnreadableRun::test_damaged_artifact_is_config_error"
+BAD_SETTINGS = "tests/test_cli.py::TestExitCodes::test_bad_training_settings_are_config_errors"
+ROW_RECORDS = "tests/test_training.py::TestSweepRows::test_from_json_rejects_unreadable_records"
 
 # (name, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -90,6 +92,19 @@ MUTANTS = [
      "                              \"base_seed\": lambda name, seed: seed if seed == base_seed\n"
      "                              else check_equal(name, seed, base_seed),\n",
      (MARKER_DAMAGE + "[_false_base_seed]",)),
+    ("eval does not check the three documents against each other", CLI,
+     "    if not config[\"n_components\"] == pipe.n_components == model.config.n_features:\n",
+     "    if False:\n",
+     (EVAL_DAMAGE + "[_mismatched_run_config_components]",
+      EVAL_DAMAGE + "[_model_of_another_width]")),
+    ("train.max_epochs has no cap", "src/multivqc/training.py",
+     "    \"max_epochs\": partial(check_int, low=1, high=100_000),\n",
+     "    \"max_epochs\": partial(check_int, low=1),\n",
+     (BAD_SETTINGS,)),
+    ("a blank-column check lets any value through", "src/multivqc/errors.py",
+     "    return lambda name, value: means if value == blank else check(name, value)\n",
+     "    return lambda name, value: means if value == blank else value\n",
+     (ROW_RECORDS,)),
 ]
 
 

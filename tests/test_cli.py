@@ -25,7 +25,7 @@ from multivqc.model import (
     model_from_json_dict,
     save_model,
 )
-from multivqc.pipeline import PIPELINE_LEAVES, SCHEMA_KEYS, Pipeline
+from multivqc.pipeline import PIPELINE_LEAVES, SCHEMA_LEAVES, Pipeline
 
 BUNDLED = Path(cli.__file__).parent / "bundled"
 
@@ -98,8 +98,8 @@ REJECTED_SAVED_VALUES = [
 ]
 REJECTED_SCHEMA_VALUES = [
     pytest.param(key, value, id=f"{key}={label}")
-    for key, (_, ok) in SCHEMA_KEYS.items()
-    for label, value in WRONG_VALUES.items() if not ok(value)
+    for key, check in SCHEMA_LEAVES.items()
+    for label, value in WRONG_VALUES.items() if _rejects(check, key, value)
 ]
 
 
@@ -223,6 +223,13 @@ class TestRunConfig:
         block = readme.split("Defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
         assert json.loads(block) == DEFAULT_CONFIG
 
+    def test_readme_names_every_schema_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Schema keys:", 1)[1].split("\n\n", 2)[1]
+        named = {key for line in block.splitlines() if line.startswith("- ")
+                 for key in re.findall(r"`(\w+)`", line.split(" (", 1)[0])}
+        assert named == set(SCHEMA_LEAVES)
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_config_error(self, capsys):
@@ -312,6 +319,9 @@ class TestExitCodes:
         ["sweep", *FAST_SWEEP, "--sweep.feature-counts=[1]"],
         ["sweep", *FAST_SWEEP, "--sweep.feature-counts=[9]"],
         ["sweep", *FAST_SWEEP, "--workers=0"],
+        ["pca-report", f"--train.max-epochs={10 ** 400}"],
+        ["pca-report", f"--model.n-layers=[1,{10 ** 400}]"],
+        _prostate_schema_with(expected_rows=-1),
     ])
     def test_bad_training_settings_are_config_errors(self, out_dir, tmp_path, capsys, argv):
         if isinstance(argv[-1], dict):
@@ -335,6 +345,27 @@ class TestExitCodes:
         assert main(["pca-report", f"--dataset={BUNDLED / 'prostate.csv'}",
                      "--schema", schema]) == 1
         _assert_one_error_line(capsys.readouterr(), repr(key))
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda schema: {("drop_column" if k == "drop_columns" else k): v
+                         for k, v in schema.items()}, "'drop_column'"),
+        (lambda schema: {**schema, "bogus": 1}, "'bogus'"),
+    ], ids=["misspelled_drop_columns", "unknown_key"])
+    def test_unknown_schema_key_is_refused_before_data_loads(self, out_dir, tmp_path,
+                                                             monkeypatch, capsys, edit, key):
+        # With the id column dropped by a misspelled key, it would become a feature.
+        lines = (BUNDLED / "prostate.csv").read_text().splitlines()
+        data = tmp_path / "with_id.csv"
+        data.write_text("".join(f"{i or 'id'},{line}\n" for i, line in enumerate(lines)))
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(edit(json.loads(
+            (BUNDLED / "prostate.schema.json").read_text()))), encoding="utf-8")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("data loaded before the schema check")
+        monkeypatch.setattr(cli, "load_csv", must_not_run)
+        assert main(["pca-report", f"--dataset={data}", "--schema", str(schema)]) == 1
+        _assert_one_error_line(capsys.readouterr(), "unknown key", key)
 
     def test_error_names_the_dotted_leaf(self, out_dir, capsys):
         assert main(["train", "--model.n-vqcs.x=1"]) == 1
@@ -508,6 +539,19 @@ def _unknown_run_config_leaf(run_dir):
     return "'train.bogus'"
 
 
+def _mismatched_run_config_components(run_dir):
+    _edit_key(run_dir, "resolved_config.json", "config",
+              lambda config: {**config, "n_components": 5})
+    return "disagree"
+
+
+def _model_of_another_width(run_dir):
+    config = MultiVqcConfig(n_features=3)
+    save_model(str(run_dir / "model.json"), config,
+               MultiVqcModel(config).new_store(np.random.default_rng(0)))
+    return "disagree"
+
+
 class TestEvalUnreadableRun:
     @pytest.mark.parametrize("damage", [_remove_model, _corrupt_run_config,
                                         _drop_run_config_object, _drop_run_config_key,
@@ -521,7 +565,9 @@ class TestEvalUnreadableRun:
                                         _constant_kept_scaler_column, _huge_pca_components,
                                         _doubled_component_row, _unknown_pipeline_key,
                                         _unknown_model_key, _unknown_model_config_key,
-                                        _unknown_run_config_leaf])
+                                        _unknown_run_config_leaf,
+                                        _mismatched_run_config_components,
+                                        _model_of_another_width])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         named = damage(out_dir)
