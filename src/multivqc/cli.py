@@ -23,6 +23,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -88,8 +89,8 @@ OUTPUT_DIR_ENV = "MULTIVQC_OUTPUT_DIR"
 # Every config leaf: dotted path -> (default, check). DEFAULT_CONFIG is built
 # from the defaults, and every command checks the config against CONFIG_LEAVES.
 # A check takes the dotted path and the value and raises ConfigError naming
-# the path; the model.*, train.* and split.* checks are the ones
-# MultiVqcConfig, TrainConfig and split run themselves.
+# the path. The model.* and train.* leaves are the MultiVqcConfig and
+# TrainConfig fields, an enum default as its value; split runs its own checks.
 LEAVES = {
     "dataset": ("prostate", check_str),
     "schema": (None, check_optional(check_str)),
@@ -97,17 +98,11 @@ LEAVES = {
     "angle_range": ("0_pi", PIPELINE_CHECKS["angle_range"]),
     "split.fractions": ([0.6, 0.2, 0.2], PIPELINE_CHECKS["fractions"]),
     "split.seed": (0, PIPELINE_CHECKS["seed"]),
-    "model.n_vqcs": (1, MODEL_CHECKS["n_vqcs"]),
-    "model.encoding": ("RY", MODEL_CHECKS["encoding"]),
-    "model.ansatz": ("basic", MODEL_CHECKS["ansatz"]),
-    "model.n_layers": (1, MODEL_CHECKS["n_layers"]),
-    "model.reuploading": (True, MODEL_CHECKS["reuploading"]),
-    "model.rescale": ("pi", MODEL_CHECKS["rescale"]),
-    "train.max_epochs": (100, TRAIN_CHECKS["max_epochs"]),
-    "train.patience": (5, TRAIN_CHECKS["patience"]),
-    "train.learning_rate": (0.01, TRAIN_CHECKS["learning_rate"]),
-    "train.batch_size": (16, TRAIN_CHECKS["batch_size"]),
-    "train.seed": (0, TRAIN_CHECKS["seed"]),
+    **{f"{section}.{field.name}": (getattr(field.default, "value", field.default),
+                                   checks[field.name])
+       for section, owner, checks in (("model", MultiVqcConfig, MODEL_CHECKS),
+                                       ("train", TrainConfig, TRAIN_CHECKS))
+       for field in fields(owner) if field.name not in ("n_features", "n_classes")},
     "sweep.feature_counts": ([2, 3], check_counts),
     "sweep.vqc_counts": ([1, 2, 3], check_counts),
     # The layer search builds models of up to this many layers.
@@ -209,6 +204,9 @@ def _load_raw_dataset(config: dict) -> tuple[Dataset, str, str]:
     """Returns (dataset, source description, resolved path)."""
     name_or_path = config["dataset"]
     if name_or_path in DATASET_NAMES:
+        if config["schema"] is not None:
+            raise ConfigError(f"dataset {name_or_path!r} is a built-in name with its own "
+                              f"schema; 'schema' is only for a CSV path")
         resolved = resolve_dataset(name_or_path)
         dataset = load_csv(str(resolved.csv_path), resolved.schema)
         return dataset, resolved.source, str(resolved.csv_path)
@@ -239,24 +237,6 @@ def _load_split(config: dict) -> tuple[SplitDataset, str, str]:
     return raw, source, path
 
 
-def _encode_with(pipe: Pipeline, raw: SplitDataset) -> SplitDataset:
-    names = tuple(f"pc{i + 1}" for i in range(pipe.n_components))
-
-    def encode(part: Dataset) -> Dataset:
-        return Dataset(part.name, pipe.transform(part.features), part.labels, names)
-
-    return SplitDataset(
-        train=encode(raw.train), validation=encode(raw.validation),
-        test=encode(raw.test), fractions=raw.fractions, seed=raw.seed,
-    )
-
-
-def _encode_splits(raw: SplitDataset, n_components: int,
-                   angle_range: str | list[float]) -> tuple[SplitDataset, Pipeline]:
-    pipe = Pipeline(n_components, angle_range).fit(raw.train.features)
-    return _encode_with(pipe, raw), pipe
-
-
 def _write_csv(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:
     with open_atomic(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
@@ -280,8 +260,7 @@ def _metrics_records(config: dict, dataset_name: str,
 
 
 def cmd_pca_report(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, args.overrides,
-                             {} if args.dataset is None else {"dataset": args.dataset})
+    config = load_run_config(args.config, args.overrides)
     dataset, source, path = _load_raw_dataset(config)
     _announce_source(dataset, source, path)
     table = explained_variance_table(dataset.features)
@@ -304,8 +283,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                                **config["model"])
     tcfg = TrainConfig(**config["train"])
     raw_split, source, path = _load_split(config)
-    encoded, pipe = _encode_splits(raw_split, config["n_components"],
-                                   config["angle_range"])
+    pipe = Pipeline(config["n_components"], config["angle_range"]).fit(raw_split.train.features)
+    encoded = pipe.encode(raw_split)
     report = train(model_cfg, encoded, tcfg)
     out = _output_dir(config)
     _write_json(out / "resolved_config.json", {"format": "multivqc-run-config/1",
@@ -347,7 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                           f"({pipe.n_components}) and model.json (config.n_features "
                           f"{model.config.n_features}) disagree")
     raw_split, _, _ = _load_split(config)
-    data = _encode_with(pipe, raw_split)
+    data = pipe.encode(raw_split)
     split_metrics = [evaluate(model.predict_batch(store, part.features), part.labels)
                      for part in (data.train, data.validation, data.test)]
     records = _metrics_records(config, raw_split.train.name, split_metrics)
@@ -411,8 +390,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("the sweep has no rows to run: sweep.feature_counts is empty, "
                           "or sweep.vqc_counts is empty and include_baseline is false")
     raw_split, _, _ = _load_split(config)
-    datasets_by_width = {k: _encode_splits(raw_split, k, config["angle_range"])[0]
-                         for k in feature_counts}
+    datasets_by_width = {k: Pipeline(k, config["angle_range"]).fit(raw_split.train.features)
+                         .encode(raw_split) for k in feature_counts}
 
     out = _output_dir(config)
     (out / "cells").mkdir(exist_ok=True)
@@ -463,8 +442,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, args.overrides)
     raw_split, source, _ = _load_split(config)
-    encoded, _ = _encode_splits(raw_split, config["n_components"],
-                                config["angle_range"])
+    encoded = Pipeline(config["n_components"], config["angle_range"]).fit(
+        raw_split.train.features).encode(raw_split)
     tcfg = TrainConfig(**config["train"])
     report = fit_logreg(encoded, tcfg=tcfg)
     out = _output_dir(config)
@@ -497,8 +476,6 @@ def build_parser() -> _Parser:
     p_pca = sub.add_parser("pca-report",
                            help="explained-variance table for a dataset")
     p_pca.add_argument("--config", default=None)
-    p_pca.add_argument("--dataset", default=None,
-                       help="built-in dataset name or CSV path")
     p_pca.set_defaults(func=cmd_pca_report)
 
     p_train = sub.add_parser("train", help="train one model and write artifacts")

@@ -155,7 +155,6 @@ _MINUS_I_PAULI = {
     GateKind.RZ: (-1j, 0, 0, 1j),
 }
 _IDENTITY = np.array([1, 0, 0, 1], dtype=np.complex128).reshape(4, 1, 1)
-_ZERO_KET = np.array([[1], [0]], dtype=np.complex128)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,10 +218,9 @@ class _Compiled:
     # the first of those runs that holds a parameter in some chain, and the
     # last segment holding a chain of that shape.
     groups: tuple
-    first: tuple               # per qubit: (group, chain) in the first segment, or None
     perms: tuple               # permutation of each CNOT run; segment k + 1 follows run k
-    segments: tuple            # ((qubit, group, chain), ...) per segment, the first included;
-                               # the forward reads segments[1:], the sweep all of them
+    segments: tuple            # ((qubit, group, chain), ...) per segment, the first holding
+                               # a chain, maybe empty, for every qubit in qubit order
     # Read by the reverse sweep only.
     stops: tuple               # earliest segment with a parameter gate; with a parameter or
                                # feature gate (indexed by input_gradient)
@@ -268,7 +266,7 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
     """Segment table of one gate list; checks ``n_qubits`` and every qubit."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    segments: list[dict] = [{}]
+    segments: list[dict] = [{q: [] for q in range(n_qubits)}]
     perms: list[np.ndarray] = []
     ring = None
     for gate in gates:
@@ -314,7 +312,6 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
 
     placed = [tuple((q, *add_chain(chain, s)) for q, chain in sorted(segment.items()))
               for s, segment in enumerate(segments)]
-    first = {q: (group, chain) for q, group, chain in placed[0]}
     shape = (max([1] + [len(run) for run in runs]), len(runs), 1)
     # The (L, R) cells position-major; None pads a run shorter than L.
     cells = [run[i] if i < len(run) else None for i in range(shape[0]) for run in runs]
@@ -349,7 +346,6 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         groups=tuple((lead, rows(members, 0), rows(members, 1), min(m[2] for m in members),
                       max(m[3] for m in members))
                      for (lead, _), members in shapes.items()),
-        first=tuple(first.get(q) for q in range(n_qubits)),
         perms=tuple(perms),
         segments=tuple(placed),
         stops=(earliest(lambda g: g.param_id is not None), earliest(lambda g: g.angle is None)),
@@ -458,10 +454,9 @@ def run_compiled(circuit: _Compiled, params: np.ndarray | None,
 
     src, dst = src.reshape(-1, batch), dst.reshape(-1, batch)
     amps = np.ones((1, batch), dtype=np.complex128)
-    for chain in circuit.first:
-        column = _ZERO_KET if chain is None else fused[chain[0]][[0, 2], chain[1]]
+    for _, group, chain in circuit.segments[0]:
         out = dst.reshape(-1)[:2 * amps.size].reshape(-1, 2, batch)
-        amps = np.multiply(amps[:, None], column, out=out).reshape(-1, batch)
+        amps = np.multiply(amps[:, None], fused[group][[0, 2], chain], out=out).reshape(-1, batch)
         src, dst = dst, src
     for perm, chains in zip(circuit.perms, circuit.segments[1:]):
         np.take(src, perm, axis=0, out=dst, mode="clip")

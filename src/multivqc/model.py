@@ -141,13 +141,11 @@ class MultiVqcConfig:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Everything the forward pass computed, kept for backpropagation.
-
-    stage_inputs[k] are the angles fed to circuit k; for k > 0 they equal
-    rescale(stage_expectations[k-1]). scores is stage_expectations[-1].
+    """The expectations of each circuit of the chain. scores is
+    stage_expectations[-1]; circuit k > 0 was fed
+    rescale(stage_expectations[k-1]).
     """
 
-    stage_inputs: tuple[np.ndarray, ...]
     stage_expectations: tuple[np.ndarray, ...]
     scores: np.ndarray
     probabilities: np.ndarray
@@ -197,18 +195,9 @@ class MultiVqcModel:
                 inputs = rescale_expectations(exp, self.config.rescale)
 
     def forward_batch(self, store: ParamStore, features: np.ndarray) -> ForwardTrace:
-        inputs: list[np.ndarray] = []
-        expectations: list[np.ndarray] = []
-        for stage_inputs, _, exp in self.iter_stages(store, features):
-            inputs.append(stage_inputs)
-            expectations.append(exp)
-        scores = expectations[-1]
-        return ForwardTrace(
-            stage_inputs=tuple(inputs),
-            stage_expectations=tuple(expectations),
-            scores=scores,
-            probabilities=softmax(scores),
-        )
+        expectations = tuple(exp for _, _, exp in self.iter_stages(store, features))
+        return ForwardTrace(stage_expectations=expectations, scores=expectations[-1],
+                            probabilities=softmax(expectations[-1]))
 
     def predict_batch(self, store: ParamStore, features: np.ndarray) -> np.ndarray:
         trace = self.forward_batch(store, features)

@@ -175,7 +175,7 @@ def _check_label_mapping(name: str, value) -> dict:
 
 
 # Every schema key load_csv reads, with its check; each check names the key
-# quoted. load_schema fills in SCHEMA_DEFAULTS, so only "name" and
+# quoted. _checked_schema fills in SCHEMA_DEFAULTS, so only "name" and
 # "label_column" are required. An empty label_mapping reads labels as numbers.
 SCHEMA_DEFAULTS = {"label_mapping": {}, "drop_columns": [], **dict.fromkeys(PROFILE_KEYS)}
 SCHEMA_LEAVES = {key: lambda key, value, check=check: check(f"schema key {key!r}", value)
@@ -188,14 +188,17 @@ SCHEMA_LEAVES = {key: lambda key, value, check=check: check(f"schema key {key!r}
                  }.items()}
 
 
-def load_schema(path: str) -> dict:
-    """Read a dataset schema file: SCHEMA_DEFAULTS with the file's keys over
-    them, every key checked against SCHEMA_LEAVES."""
-    schema = read_json(path, "schema file")
+def _checked_schema(schema, where: str) -> dict:
+    """``schema`` over SCHEMA_DEFAULTS, every key checked against SCHEMA_LEAVES."""
     if isinstance(schema, dict):
         schema = {**SCHEMA_DEFAULTS, **schema}
-    check_document(SCHEMA_LEAVES, schema, f"schema file {path}")
+    check_document(SCHEMA_LEAVES, schema, where)
     return schema
+
+
+def load_schema(path: str) -> dict:
+    """The checked schema in the dataset schema file at ``path``."""
+    return _checked_schema(read_json(path, "schema file"), f"schema file {path}")
 
 
 def load_csv(path: str, schema: dict) -> Dataset:
@@ -204,11 +207,13 @@ def load_csv(path: str, schema: dict) -> Dataset:
     The schema names the label column, optionally maps label strings to
     {0, 1}, lists columns to drop, and may carry expected row/feature/class
     counts; count mismatches warn (public copies of these datasets vary)
-    while parse problems fail with the offending row number.
+    while parse problems fail with the offending row number. The schema is
+    checked as ``load_schema`` checks a file.
     """
+    schema = _checked_schema(schema, "schema")
     label_column = schema["label_column"]
-    label_mapping = schema.get("label_mapping")
-    drop = set(schema.get("drop_columns", ()))
+    label_mapping = schema["label_mapping"]
+    drop = set(schema["drop_columns"])
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -263,7 +268,7 @@ def _check_profile(dataset: Dataset, schema: dict, path: str) -> None:
     observed = (dataset.n_samples, dataset.n_features, dataset.class_counts()[1])
     what = ("rows", "feature columns", "positive labels")
     for key, count, noun in zip(PROFILE_KEYS, observed, what):
-        expected = schema.get(key)
+        expected = schema[key]
         if expected is not None and count != expected:
             warnings.warn(f"{path}: {count} {noun}, expected {expected} "
                           f"for {dataset.name!r}", stacklevel=3)
@@ -404,6 +409,14 @@ class Pipeline:
                            0.0, 1.0)
         projected = transform_pca(PcaModel(**pca), scaled)
         return _to_range(projected, encoder["mins"], encoder["maxs"], *self.angle_range)
+
+    def encode(self, raw: SplitDataset) -> SplitDataset:
+        """``raw`` with each split's features run through ``transform``, the
+        columns named pc1..pck."""
+        names = tuple(f"pc{i + 1}" for i in range(self.n_components))
+        return SplitDataset(*(Dataset(part.name, self.transform(part.features), part.labels, names)
+                              for part in (raw.train, raw.validation, raw.test)),
+                            raw.fractions, raw.seed)
 
     def to_json_dict(self) -> dict:
         if self.fitted is None:

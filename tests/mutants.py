@@ -34,6 +34,7 @@ MARKER_DAMAGE = SWEEP + "test_resume_rejects_markers_from_other_seed"
 EVAL_DAMAGE = "tests/test_cli.py::TestEvalUnreadableRun::test_damaged_artifact_is_config_error"
 BAD_SETTINGS = "tests/test_cli.py::TestExitCodes::test_bad_training_settings_are_config_errors"
 ROW_RECORDS = "tests/test_training.py::TestSweepRows::test_from_json_rejects_unreadable_records"
+PIPELINE = "src/multivqc/pipeline.py"
 
 # (name, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -54,6 +55,10 @@ MUTANTS = [
      "            full = _product(full, mats[:, i])\n",
      "            full = _product(mats[:, i], full)\n",
      (SHIFT_LISTS, SHIFT_SHAPES)),
+    ("first segment holds chains only for the qubits a gate touches", CORE,
+     "    segments: list[dict] = [{q: [] for q in range(n_qubits)}]\n",
+     "    segments: list[dict] = [{}]\n",
+     (ORACLE_LISTS, SHIFT_LISTS)),
     ("sweep stops one segment early", CORE,
      "    for k in range(len(circuit.segments) - 1, stop - 1, -1):\n",
      "    for k in range(len(circuit.segments) - 1, stop, -1):\n",
@@ -76,7 +81,7 @@ MUTANTS = [
      "                                grid[index], datasets_by_width[k], tcfg, rescale,\n"
      "                                max_layers=sweep_cfg[\"max_layers\"]))\n",
      (WRAPPED,)),
-    ("pipeline.json component rows not checked for orthonormality", "src/multivqc/pipeline.py",
+    ("pipeline.json component rows not checked for orthonormality", PIPELINE,
      "        if not np.all(np.abs(gram - np.eye(pipe.n_components)) <= 1e-9):\n",
      "        if False:\n",
      (EVAL_DAMAGE + "[_huge_pca_components]", EVAL_DAMAGE + "[_doubled_component_row]")),
@@ -97,6 +102,18 @@ MUTANTS = [
      "    if False:\n",
      (EVAL_DAMAGE + "[_mismatched_run_config_components]",
       EVAL_DAMAGE + "[_model_of_another_width]")),
+    ("load_csv fills in the schema defaults but checks no key", PIPELINE,
+     "    schema = _checked_schema(schema, \"schema\")\n",
+     "    schema = {**SCHEMA_DEFAULTS, **schema}\n",
+     ("tests/test_pipeline.py::TestLoadCsv::test_misspelled_schema_key_is_refused",)),
+    ("a schema given with a built-in dataset name is ignored", CLI,
+     "        if config[\"schema\"] is not None:\n",
+     "        if False:\n",
+     (BAD_SETTINGS,)),
+    ("an enum config default kept as the member, not its value", CLI,
+     "    **{f\"{section}.{field.name}\": (getattr(field.default, \"value\", field.default),\n",
+     "    **{f\"{section}.{field.name}\": (field.default,\n",
+     ("tests/test_cli.py::TestRunConfig::test_defaults_are_plain_json",)),
     ("train.max_epochs has no cap", "src/multivqc/training.py",
      "    \"max_epochs\": partial(check_int, low=1, high=100_000),\n",
      "    \"max_epochs\": partial(check_int, low=1),\n",

@@ -174,10 +174,11 @@ def shift_rule_loss_gradient(model, store, features, labels, label_weights) -> n
     cotangent."""
     features = np.asarray(features, dtype=np.float64)
     trace = model.forward_batch(store, features)
+    stage_inputs = [inputs for inputs, _, _ in model.iter_stages(store, features)]
     cotangent = score_cotangent(trace.probabilities, labels, label_weights) / features.shape[0]
     grad = np.zeros(store.total, dtype=np.float64)
     for k in range(model.config.n_vqcs - 1, -1, -1):
-        inputs = trace.stage_inputs[k]
+        inputs = stage_inputs[k]
         stage_params = store.slice_for(k)
         jac_p = stage_parameter_jacobian(model, k, inputs, stage_params)
         start = store.offsets[k]

@@ -6,7 +6,6 @@ The two training criteria (5 and 6) dominate the runtime at roughly a
 minute combined.
 """
 
-import dataclasses
 import time
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from multivqc.model import MultiVqcConfig, MultiVqcModel, Rescale
 from multivqc.params import ParamStore
 from multivqc.pipeline import (
     ANGLE_RANGES,
-    Dataset,
     Pipeline,
     explained_variance_table,
     load_csv,
@@ -143,19 +141,6 @@ def test_criterion_4_class_weights_equalize_mass():
            f"round to (0.32, 0.68)")
 
 
-def _encode_splits(parts, n_components):
-    pipe = Pipeline(n_components, ANGLE_RANGES["0_pi"]).fit(parts.train.features)
-    names = tuple(f"pc{i + 1}" for i in range(n_components))
-
-    def encode(part):
-        return Dataset(part.name, pipe.transform(part.features), part.labels,
-                       names)
-
-    return dataclasses.replace(parts, train=encode(parts.train),
-                               validation=encode(parts.validation),
-                               test=encode(parts.test))
-
-
 def _test_split_f1(config, encoded, tcfg):
     rep = train(config, encoded, tcfg)
     model = MultiVqcModel(config)
@@ -172,7 +157,7 @@ def test_criterion_5_prostate_three_circuit_median_f1():
     f1_scores = []
     for seed in range(5):
         parts = split(data, (0.6, 0.2, 0.2), seed=seed)
-        encoded = _encode_splits(parts, 2)
+        encoded = Pipeline(2, ANGLE_RANGES["0_pi"]).fit(parts.train.features).encode(parts)
         tcfg = TrainConfig(max_epochs=150, patience=15, learning_rate=0.05,
                            batch_size=8, seed=seed)
         f1_scores.append(_test_split_f1(config, encoded, tcfg))
@@ -196,7 +181,8 @@ def test_criterion_6_multi_circuit_holds_ground_on_diabetes():
         f1_scores = []
         for seed in range(5):
             parts = split(data, (0.6, 0.2, 0.2), seed=seed)
-            encoded = _encode_splits(parts, 3)
+            encoded = Pipeline(3, ANGLE_RANGES["0_pi"]).fit(
+                parts.train.features).encode(parts)
             tcfg = TrainConfig(max_epochs=60, patience=10, learning_rate=0.05,
                                batch_size=16, seed=seed)
             f1_scores.append(_test_split_f1(config, encoded, tcfg))

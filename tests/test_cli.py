@@ -178,6 +178,10 @@ class TestRunConfig:
         config = load_run_config(None, [])
         assert config == DEFAULT_CONFIG
 
+    def test_defaults_are_plain_json(self):
+        # repr, not ==: an enum member such as Encoding.RY equals its value "RY".
+        assert repr(json.loads(json.dumps(DEFAULT_CONFIG))) == repr(DEFAULT_CONFIG)
+
     def test_override_wins_over_default(self):
         config = load_run_config(None, ["--train.seed=9", "--dataset=diabetes"])
         assert config["train"]["seed"] == 9
@@ -291,6 +295,7 @@ class TestExitCodes:
         ["train", *FAST_TRAIN, "--output-dir=5"],
         ["train", "--dataset=x.csv", "--schema=5"],
         ["train", "--dataset=5", f"--schema={BUNDLED / 'prostate.schema.json'}"],
+        ["pca-report", "--dataset=prostate", "--schema=/nonexistent.json"],
         ["sweep", "--sweep.feature-counts=[]"],
         ["sweep", "--sweep.vqc-counts=[]", "--sweep.include-baseline=false"],
         _prostate_schema_with(label_mapping={"M": "x", "B": 0}),

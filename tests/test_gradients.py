@@ -238,10 +238,11 @@ class TestStageJacobians:
                              n_layers=2, reuploading=True)
         model = MultiVqcModel(cfg)
         store = model.new_store(rng)
-        trace = model.forward_batch(store, rng.uniform(0.0, np.pi, size=(4, 3)))
+        stage_inputs = [inputs for inputs, _, _ in
+                        model.iter_stages(store, rng.uniform(0.0, np.pi, size=(4, 3)))]
         h = 1e-5
         for stage in range(2):
-            inputs = trace.stage_inputs[stage]
+            inputs = stage_inputs[stage]
             stage_params = store.slice_for(stage)
             gates = model.stage_gates[stage]
             stage_cfg = model.stages[stage]
@@ -411,7 +412,7 @@ class TestAdjointGradient:
         # A first step grows the workspace, so the references and the checked
         # step below all run in the buffer the check looks at.
         batch_loss_gradient(model, store, X, y, np.ones(2))
-        inputs = model.forward_batch(store, X).stage_inputs
+        inputs = [x for x, _, _ in model.iter_stages(store, X)]
         expected = [core.run_circuit_batch(3, model.stage_gates[k], params=store.slice_for(k),
                                            features=inputs[k]).T for k in range(3)]
         swept = []

@@ -136,7 +136,6 @@ def test_field_checker_sees_only_attribute_reads():
 # outside src that reads each one. A field nothing reads is dead weight that
 # every writer still has to fill in.
 UNREAD_FIELDS = {
-    "model.ForwardTrace.stage_inputs": "tests/oracles.py",
     "model.ForwardTrace.stage_expectations": "bench/oracle.py",
     "training.LayerSearchReport.tried_layer_counts": "tests/test_training.py",
     "training.LayerSearchReport.validation_losses": "tests/test_training.py",

@@ -120,8 +120,9 @@ class TestForward:
                              rescale=Rescale.PI)
         model = MultiVqcModel(cfg)
         store = model.new_store()
-        trace = model.forward_batch(store, np.array([[0.0, 0.0]]))
-        assert np.allclose(trace.stage_inputs[1][0], [np.pi, np.pi], atol=1e-10)
+        stage_inputs = [inputs for inputs, _, _ in
+                        model.iter_stages(store, np.array([[0.0, 0.0]]))]
+        assert np.allclose(stage_inputs[1][0], [np.pi, np.pi], atol=1e-10)
 
     def test_scores_stay_in_expectation_bounds(self):
         rng = np.random.default_rng(32)

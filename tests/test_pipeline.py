@@ -93,6 +93,11 @@ class TestLoadCsv:
             data = load_csv(path, schema)
         assert data.n_samples == 2
 
+    def test_misspelled_schema_key_is_refused(self, tmp_path):
+        path = write_csv(tmp_path / "withid.csv", "id,x,label\n7,1.0,0\n8,2.0,1\n")
+        with pytest.raises(ConfigError, match="'drop_column'"):
+            load_csv(path, dict(BASIC_SCHEMA, drop_column=["id"]))
+
     def test_schema_file_round_trip(self, tmp_path):
         schema_path = tmp_path / "toy.schema.json"
         schema_path.write_text(json.dumps(BASIC_SCHEMA), encoding="utf-8")
