@@ -215,15 +215,12 @@ class _Compiled:
     feature_pauli: np.ndarray  # (4, F, 1)
     # One entry per chain shape (has R_0, m): (R_0 if any, then R_1..R_m;
     # F_1..F_m), each row an index array over the chains of that shape; then
-    # the first of those runs that holds a parameter in some chain, and the
-    # last segment holding a chain of that shape.
+    # the last segment holding a chain of that shape.
     groups: tuple
     perms: tuple               # permutation of each CNOT run; segment k + 1 follows run k
     segments: tuple            # ((qubit, group, chain), ...) per segment, the first holding
                                # a chain, maybe empty, for every qubit in qubit order
     # Read by the reverse sweep only.
-    stops: tuple               # earliest segment with a parameter gate; with a parameter or
-                               # feature gate (indexed by input_gradient)
     signs: np.ndarray          # (2**n, n) Z eigenvalue of each qubit in each basis state
     run_pauli_t: np.ndarray    # (4, L, R) transposed -iP of each cell
     feature_pauli_t: np.ndarray  # (4, F)
@@ -302,11 +299,9 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         split.append(run)
         lead = bool(split[0]) or not feature_ids
         kept = split if lead else split[1:]
-        trained = [i for i, r in enumerate(kept) if any(g.param_id is not None for g in r)]
         key = (lead, len(feature_ids))
         members = shapes.setdefault(key, [])
-        members.append((list(range(len(runs), len(runs) + len(kept))), feature_ids,
-                        min(trained, default=len(kept)), segment))
+        members.append((list(range(len(runs), len(runs) + len(kept))), feature_ids, segment))
         runs.extend(kept)
         return list(shapes).index(key), len(members) - 1
 
@@ -326,11 +321,6 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
     def rows(members: list, column: int) -> np.ndarray:
         return np.array([m[column] for m in members], dtype=np.int64).reshape(len(members), -1).T
 
-    def earliest(needed) -> int:
-        return next((s for s, segment in enumerate(segments)
-                     if any(needed(g) for chain in segment.values() for g in chain)),
-                    len(segments))
-
     run_pauli, feature_pauli = pauli(cells).reshape(4, *shape), pauli(bound)
     feature_ids = np.array(sources, dtype=np.int64)
     feature_map = np.zeros((len(sources), max(sources, default=-1) + 1))
@@ -343,12 +333,10 @@ def _compile(n_qubits: int, gates: tuple[GateOp, ...]) -> _Compiled:
         pauli=run_pauli,
         feature_ids=feature_ids,
         feature_pauli=feature_pauli,
-        groups=tuple((lead, rows(members, 0), rows(members, 1), min(m[2] for m in members),
-                      max(m[3] for m in members))
+        groups=tuple((lead, rows(members, 0), rows(members, 1), max(m[2] for m in members))
                      for (lead, _), members in shapes.items()),
         perms=tuple(perms),
         segments=tuple(placed),
-        stops=(earliest(lambda g: g.param_id is not None), earliest(lambda g: g.angle is None)),
         signs=_z_signs(n_qubits, range(n_qubits)).T,
         run_pauli_t=run_pauli[[0, 2, 1, 3], ..., 0],
         feature_pauli_t=feature_pauli[[0, 2, 1, 3], :, 0],
@@ -399,7 +387,7 @@ def _fuse(circuit: _Compiled, runs: np.ndarray, cos_f, sin_f, group,
 def _fuse_sizes(circuit: _Compiled, rows: int) -> list[int]:
     """Scratch ``_fuse`` needs for each chain shape at ``rows`` rows."""
     return [8 * run_rows.shape[1] * rows if feature_rows.size else 0
-            for _, run_rows, feature_rows, _, _ in circuit.groups]
+            for _, run_rows, feature_rows, _ in circuit.groups]
 
 
 def run_circuit_batch(n_qubits: int, gates, params=None,
@@ -505,9 +493,8 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
     the sweep first reads, for each chain U on qubit q, the 2x2 environment
     E[c, a] = sum over the other qubits of phi[..c..] conj(lam[..a..]); then
     it undoes the segment, U^H on each qubit, and the CNOT run before it by
-    scattering through the permutation the forward gathered through. The
-    earliest segment is never undone, and the sweep ends at the earliest
-    segment holding a gate to differentiate, at once if none does. For
+    scattering through the permutation the forward gathered through. It
+    reads every segment down to the first, which it never undoes. For
     a gate j of U, with Suf_j the product of U's gates after it,
     d<O>/d theta_j = Re tr(-iP_j Suf_j^H E Suf_j), in 2x2 algebra stacked over
     all chains of one shape. A row-independent suffix reads the environment
@@ -517,21 +504,19 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
     params = np.asarray(params, dtype=np.float64)
     batch = final.shape[1]
     input_grad = np.zeros(features.shape) if input_gradient else None
-    stop = circuit.stops[input_gradient]
     # A chain shape's environment stays per row if its walk crosses a feature gate.
-    rowwise = [feature_rows.shape[0] > 0 and (input_gradient or first < run_rows.shape[0] - 1)
-               for _, run_rows, feature_rows, first, _ in circuit.groups]
+    rowwise = [feature_rows.shape[0] > 0 and (input_gradient or run_rows.shape[0] > 1)
+               for _, run_rows, feature_rows, _ in circuit.groups]
     envs = [np.zeros((4, group[1].shape[1], batch if per_row else 1), dtype=np.complex128)
             for group, per_row in zip(circuit.groups, rowwise)]
-    undone = [group[4] > stop for group in circuit.groups]
+    undone = [last > 0 for *_, last in circuit.groups]
 
     suffixes = [None]  # suffixes[L - 1 - j]: product of each run's gates after position j
-    if any(rowwise) or any(undone) or circuit.angles.shape[0] > 1:
-        mats, cos_f, sin_f = _gate_matrices(circuit, params, features)
-        full = mats[:, -1]
-        for i in range(mats.shape[1] - 2, -1, -1):
-            suffixes.append(full)
-            full = _product(full, mats[:, i])
+    mats, cos_f, sin_f = _gate_matrices(circuit, params, features)
+    full = mats[:, -1]
+    for i in range(mats.shape[1] - 2, -1, -1):
+        suffixes.append(full)
+        full = _product(full, mats[:, i])
     size = 2**circuit.n_qubits * 2 * batch
     stacked, spare, tmp, *scratch = _WORKSPACE.split(size, size, size // 2,
                                                     *_fuse_sizes(circuit, batch))
@@ -545,7 +530,7 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
                         out=tmp.view(np.float64)[:size // 2].reshape(-1, batch))
     stacked[:, :batch] = final
     np.multiply(final, weights, out=stacked[:, batch:])
-    for k in range(len(circuit.segments) - 1, stop - 1, -1):
+    for k in range(len(circuit.segments) - 1, -1, -1):
         chains = circuit.segments[k]
         lam = np.conjugate(stacked[:, batch:], out=tmp.reshape(-1, batch)) if chains else None
         for qubit, group, chain in chains:
@@ -554,7 +539,7 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
             env[:, chain] = np.einsum("icjb,iajb->cab" if env.shape[2] > 1 else "icjb,iajb->ca",
                                       stacked[:, :batch].reshape(shape),
                                       lam.reshape(shape)).reshape(4, -1)
-        if k == stop:
+        if k == 0:
             break
         for qubit, group, chain in chains:
             _apply_fused(stacked, undo[group][:, chain], qubit, spare, tmp)
@@ -562,23 +547,24 @@ def adjoint_gradient(circuit: _Compiled, params, features: np.ndarray,
         spare[circuit.perms[k - 1]] = stacked
         stacked, spare = spare, stacked
 
-    # Walk each chain shape from its last run leftwards while an earlier gate
-    # still needs a gradient: m is Suf^H E Suf at the current position. Left
-    # of run r lie feature gate r - lead, then run r - 1, and so on.
+    # Walk each chain shape from its last run to its first: m is Suf^H E Suf
+    # at the current position. Left of run r lie feature gate r - lead, then
+    # run r - 1, and so on; a feature gate that starts the chain is crossed
+    # only for the input gradient.
     run_env = np.zeros((4, circuit.angles.shape[1]), dtype=np.complex128)
     if input_gradient:
         feature_grad = np.zeros((circuit.feature_ids.shape[0], batch))
-    for (lead, run_rows, feature_rows, first, _), m in zip(circuit.groups, envs):
+    for (lead, run_rows, feature_rows, _), m in zip(circuit.groups, envs):
         for r in range(run_rows.shape[0] - 1, -1, -1):
             run_env[:, run_rows[r]] = m.sum(axis=2)
-            if first >= r and not (input_gradient and r >= lead):
+            if r == 0 and (lead or not input_gradient):
                 break
             m = _conjugate(m, full[:, run_rows[r]])
             bound = feature_rows[r - lead]
             if input_gradient:
                 feature_grad[bound] = np.einsum(
                     "kc,kcb->cb", circuit.feature_pauli_t[:, bound], m).real
-            if first >= r and not (input_gradient and r > lead):
+            if r == 0:
                 break
             m = _conjugate(m, _IDENTITY * cos_f[bound]
                            + circuit.feature_pauli[:, bound] * sin_f[bound])

@@ -25,7 +25,6 @@ import operator
 import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -431,6 +430,8 @@ def run_cells(jobs: list, max_workers: int = 1) -> list[SweepRow]:
               file=sys.stderr)
     if workers <= 1:
         return [job() for job in jobs]
+    # Imported here: it loads multiprocessing, which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(operator.call, jobs))
 

@@ -34,6 +34,7 @@ MARKER_DAMAGE = SWEEP + "test_resume_rejects_markers_from_other_seed"
 EVAL_DAMAGE = "tests/test_cli.py::TestEvalUnreadableRun::test_damaged_artifact_is_config_error"
 BAD_SETTINGS = "tests/test_cli.py::TestExitCodes::test_bad_training_settings_are_config_errors"
 ROW_RECORDS = "tests/test_training.py::TestSweepRows::test_from_json_rejects_unreadable_records"
+GRID_DIGEST = "tests/test_grid_digest.py::TestGridDigest::test_template_grid_numerics_are_unchanged"
 PIPELINE = "src/multivqc/pipeline.py"
 
 # (name, file, old text, new text, tests that must fail)
@@ -52,17 +53,25 @@ MUTANTS = [
      "        angles=np.array([1.0 if g is None else 0.0 if g.angle is None else g.angle\n",
      (ORACLE_LISTS, SHIFT_LISTS, SHIFT_SHAPES)),
     ("suffix products multiplied in the wrong order", CORE,
-     "            full = _product(full, mats[:, i])\n",
-     "            full = _product(mats[:, i], full)\n",
+     "        full = _product(full, mats[:, i])\n",
+     "        full = _product(mats[:, i], full)\n",
      (SHIFT_LISTS, SHIFT_SHAPES)),
     ("first segment holds chains only for the qubits a gate touches", CORE,
      "    segments: list[dict] = [{q: [] for q in range(n_qubits)}]\n",
      "    segments: list[dict] = [{}]\n",
      (ORACLE_LISTS, SHIFT_LISTS)),
     ("sweep stops one segment early", CORE,
-     "    for k in range(len(circuit.segments) - 1, stop - 1, -1):\n",
-     "    for k in range(len(circuit.segments) - 1, stop, -1):\n",
+     "    for k in range(len(circuit.segments) - 1, -1, -1):\n",
+     "    for k in range(len(circuit.segments) - 1, 0, -1):\n",
      (SHIFT_LISTS, SHIFT_SHAPES)),
+    ("walk never crosses a feature gate at a chain's start", CORE,
+     "            if r == 0 and (lead or not input_gradient):\n",
+     "            if r == 0:\n",
+     (SHIFT_LISTS, SHIFT_SHAPES)),
+    ("environment conjugated as u^H (m u), re-associated", CORE,
+     "    return _product(_product(_dagger(u), m), u)\n",
+     "    return _product(_dagger(u), _product(m, u))\n",
+     (GRID_DIGEST,)),
     ("sweep markers written in a loop after every row is done", CLI,
      "            jobs.append(partial(_run_and_mark, job, markers[index], tcfg.seed))\n"
      "    rows = [*done.values(), *run_cells(jobs, max_workers=sweep_cfg[\"workers\"])]\n",
@@ -118,6 +127,24 @@ MUTANTS = [
      "    \"max_epochs\": partial(check_int, low=1, high=100_000),\n",
      "    \"max_epochs\": partial(check_int, low=1),\n",
      (BAD_SETTINGS,)),
+    ("model.json parameter layout not checked against its config", "src/multivqc/model.py",
+     "    if counts != model.param_counts:\n",
+     "    if False:\n",
+     (EVAL_DAMAGE + "[_model_of_another_ansatz]",)),
+    ("pipeline.json encoder column with min > max accepted", PIPELINE,
+     "        if not np.all(encoder[\"mins\"] <= encoder[\"maxs\"]):\n",
+     "        if False:\n",
+     (EVAL_DAMAGE + "[_inverted_encoder_column]",)),
+    ("train's numerical failure re-raised without its epoch, batch and norm",
+     "src/multivqc/training.py",
+     "                except NumericalError as exc:\n"
+     "                    raise NumericalError(\n"
+     "                        f\"epoch {epoch}, batch {batch_no}, parameter norm \"\n"
+     "                        f\"{np.linalg.norm(store.values):.6g}: {exc}\"\n"
+     "                    ) from exc\n",
+     "                except NumericalError:\n"
+     "                    raise\n",
+     ("tests/test_cli.py::TestExitCodes::test_numerical_failure_in_train_names_its_batch",)),
     ("a blank-column check lets any value through", "src/multivqc/errors.py",
      "    return lambda name, value: means if value == blank else check(name, value)\n",
      "    return lambda name, value: means if value == blank else value\n",

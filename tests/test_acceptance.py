@@ -217,6 +217,9 @@ def test_criterion_8_rerun_outputs_byte_identical(tmp_path, monkeypatch):
         "train": ["train", "--dataset=prostate", "--n-components=2",
                   "--train.max-epochs=4", "--train.patience=4",
                   "--train.learning-rate=0.1"],
+        "baseline": ["baseline", "--dataset=prostate", "--n-components=2",
+                     "--train.max-epochs=4", "--train.patience=4",
+                     "--train.learning-rate=0.1"],
         "sweep": ["sweep", "--dataset=prostate", "--sweep.feature-counts=[2]",
                   "--sweep.vqc-counts=[1]", "--sweep.max-layers=2",
                   "--train.max-epochs=2", "--train.patience=1",

@@ -267,6 +267,19 @@ class TestExitCodes:
         code = main(["sweep", *FAST_SWEEP, "--sweep.include-baseline=false"])
         assert code == 3
 
+    def test_numerical_failure_in_train_names_its_batch(self, out_dir, capsys, monkeypatch):
+        calls = []
+        step = training.batch_loss_gradient
+
+        def fail_second_step(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericalError("non-finite loss gradient")
+            return step(*args)
+        monkeypatch.setattr(training, "batch_loss_gradient", fail_second_step)
+        assert main(["train", *FAST_TRAIN]) == 3
+        _assert_one_error_line(capsys.readouterr(), "epoch 0, batch 1", "parameter norm")
+
     def test_successful_run_returns_zero(self, out_dir):
         assert main(["pca-report", "--dataset", "prostate"]) == 0
 
@@ -550,6 +563,17 @@ def _mismatched_run_config_components(run_dir):
     return "disagree"
 
 
+def _model_of_another_ansatz(run_dir):
+    _edit_key(run_dir, "model.json", "config", lambda config: {**config, "ansatz": "strongly"})
+    return "config-derived layout"
+
+
+def _inverted_encoder_column(run_dir):
+    _edit_key(run_dir, "pipeline.json", "encoder",
+              lambda fitted: {**fitted, "maxs": [fitted["mins"][0] - 1.0, *fitted["maxs"][1:]]})
+    return "min > max"
+
+
 def _model_of_another_width(run_dir):
     config = MultiVqcConfig(n_features=3)
     save_model(str(run_dir / "model.json"), config,
@@ -572,7 +596,8 @@ class TestEvalUnreadableRun:
                                         _unknown_model_key, _unknown_model_config_key,
                                         _unknown_run_config_leaf,
                                         _mismatched_run_config_components,
-                                        _model_of_another_width])
+                                        _model_of_another_width, _model_of_another_ansatz,
+                                        _inverted_encoder_column])
     def test_damaged_artifact_is_config_error(self, out_dir, capsys, damage):
         assert main(["train", *FAST_TRAIN]) == 0
         named = damage(out_dir)
@@ -784,6 +809,16 @@ class TestTrainEval:
         for name in ("model.json", "train_report.json", "metrics.csv",
                      "pipeline.json"):
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+class TestBaseline:
+    def test_writes_metrics_and_report(self, out_dir):
+        assert main(["baseline", *FAST_TRAIN]) == 0
+        with open(out_dir / "baseline_metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["split"] for r in rows] == ["train", "validation", "test"]
+        report = json.loads((out_dir / "baseline_report.json").read_text())
+        assert 0 <= report["best_epoch"] < len(report["val_losses"])
 
 
 # FAST_SWEEP's grid is cells 0-7; cell 8 is its logistic baseline.

@@ -8,6 +8,9 @@ nothing reads. ``__init__.py`` exists to re-export names and is exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,3 +154,14 @@ def test_dataclass_fields_no_src_module_reads_are_listed():
                     for field in dataclass_fields(path.read_text(encoding="utf-8"))
                     if field.split(".")[1] not in reads)
     assert unread == sorted(UNREAD_FIELDS)
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only a sweep with workers > 1 starts a pool; every other command's
+    # start-up does without the multiprocessing modules.
+    probe = ("import sys, multivqc.cli; print(sorted("
+             "{'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 from dataclasses import replace
@@ -418,7 +419,7 @@ class TestSweepRows:
             def map(self, func, items):
                 return map(func, items)
 
-        monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         parts = angle_split(n=60)
         tcfg = TrainConfig(max_epochs=2, patience=1, learning_rate=0.1,
                            batch_size=12, seed=3)
