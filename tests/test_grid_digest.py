@@ -9,12 +9,15 @@ probabilities, the loss and the loss gradient, so a change that moves any of
 them by one ulp fails here.
 
 ``grid_digest.json`` stores the digests and the NumPy and BLAS versions they
-were taken with. After a change that is meant to move the numerics,
-regenerate it with
+were taken with, and the host's CPU features NumPy dispatched to and the
+core OpenBLAS chose: both libraries pick their SIMD kernels at run time, so
+another CPU may round differently with the same versions. After a change
+that is meant to move the numerics, regenerate it with
 
     PYTHONPATH=src python tests/test_grid_digest.py
 """
 
+import ctypes
 import hashlib
 import itertools
 import json
@@ -31,12 +34,27 @@ MODELS = list(itertools.product((2, 3, 5, 8), ("RX", "RY"), ("basic", "strongly"
 BATCHES = (1, 7, 16)
 
 
+def blas_core() -> str:
+    """The CPU core OpenBLAS dispatches to, if NumPy bundles an OpenBLAS."""
+    for library in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(library)), symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def versions() -> dict:
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
     except TypeError:  # NumPy before 1.25 only prints its build configuration
-        blas = {"name": "unknown"}
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {"name": "unknown"})
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "cpu": " ".join(config.get("SIMD Extensions", {}).get("found", [])) or "unknown",
+            "blas_core": blas_core()}
 
 
 def grid_digests() -> dict[str, str]:
@@ -73,8 +91,11 @@ class TestGridDigest:
         here = versions()
         assert not moved, (
             f"{len(moved)} of {len(digests)} grid configurations moved, first {moved[:3]}; "
-            f"digests recorded with NumPy {stored['numpy']}, BLAS {stored['blas']}; "
-            f"computed here with NumPy {here['numpy']}, BLAS {here['blas']}. "
+            f"digests recorded with NumPy {stored['numpy']}, BLAS {stored['blas']} on "
+            f"CPU features {stored['cpu']!r}, BLAS core {stored['blas_core']!r}; computed "
+            f"here with NumPy {here['numpy']}, BLAS {here['blas']} on CPU features "
+            f"{here['cpu']!r}, BLAS core {here['blas_core']!r}. Matching versions on "
+            "other CPU features or another BLAS core point to the host, not the code. "
             "If the change is meant to move the numerics, regenerate the file with "
             "'PYTHONPATH=src python tests/test_grid_digest.py'.")
 
